@@ -11,7 +11,7 @@
 //! therefore the runbook bytes — is identical across lane counts,
 //! including the sequential `lanes = None` path.
 
-use crate::expand::{splitmix64, Job};
+use crate::expand::Job;
 use crate::plan::Substrate;
 use congest_sim::primitives::{self, Aggregate};
 use congest_wdr::algorithm::{quantum_weighted, Objective};
@@ -23,10 +23,6 @@ use std::collections::BTreeMap;
 use wdr_conformance::oracle::SharedSetup;
 use wdr_conformance::runner::{self, SuiteOptions};
 use wdr_conformance::scenario::{Family, FaultSpec, ParMode, ScenarioSpec, Workload};
-use wdr_serve::cache::{Admission, Fulfillment, ResultCache};
-use wdr_serve::engine::{cache_key, QueryEngine};
-use wdr_serve::metrics::ServeMetrics;
-use wdr_serve::protocol::Algorithm;
 
 /// The deterministic result of one job: a flat metric map, or an error.
 #[derive(Clone, Debug, PartialEq)]
@@ -118,7 +114,7 @@ fn group_key(substrate: Substrate, job: &Job) -> String {
                 Err(_) => job.id.clone(),
             }
         }
-        Substrate::Conformance | Substrate::ServeCache => job.id.clone(),
+        Substrate::Conformance => job.id.clone(),
     }
 }
 
@@ -265,68 +261,6 @@ fn run_conformance(job: &Job) -> Result<BTreeMap<String, f64>, String> {
     Ok(m)
 }
 
-/// E10-style serve load mix: a seeded closed loop of `requests` queries
-/// drawn from `distinct` algorithm variants against the in-process
-/// engine + content-addressed cache.
-fn run_serve_cache(job: &Job) -> Result<BTreeMap<String, f64>, String> {
-    let spec = scenario_from(job, Workload::BaselineExact)?;
-    let g = spec.build_graph();
-    let requests = get_usize(job, "requests", 64)?;
-    let distinct = get_usize(job, "distinct", 8)?.max(1);
-    let capacity_kb = get_usize(job, "capacity_kb", 64)?;
-    let registry = wdr_metrics::MetricsRegistry::new();
-    let cache = ResultCache::new(
-        capacity_kb * 1024,
-        ServeMetrics::register(&registry, "serve"),
-    );
-    let mut engine = QueryEngine::new();
-    let digest = g.digest();
-    let variant = |k: usize| -> Algorithm {
-        match k {
-            0 => Algorithm::Diameter,
-            1 => Algorithm::Radius,
-            2 => Algorithm::Extremes,
-            _ => Algorithm::Eccentricity {
-                node: (k - 3) % g.n(),
-            },
-        }
-    };
-    let (mut hits, mut misses) = (0u64, 0u64);
-    let mut state = job.seed;
-    for _ in 0..requests {
-        let k = (splitmix64(&mut state) % distinct as u64) as usize;
-        let algorithm = variant(k);
-        let key = cache_key(digest, &algorithm, 0);
-        match cache.admit(&key) {
-            Admission::Hit(_) => hits += 1,
-            Admission::Lead(cell) => {
-                misses += 1;
-                let value = engine
-                    .run(&g, &algorithm)
-                    .map_err(|e| format!("query failed: {e:?}"))?;
-                cache.complete(&key, &cell, Fulfillment::Value(value));
-            }
-            // Single-threaded driver: nothing is ever left in flight.
-            Admission::Follow(_) => return Err("unexpected in-flight follow".to_string()),
-        }
-    }
-    let (entries, bytes) = cache.footprint();
-    let mut m = BTreeMap::new();
-    m.insert("hits".to_string(), hits as f64);
-    m.insert("misses".to_string(), misses as f64);
-    m.insert(
-        "hit_rate".to_string(),
-        if requests > 0 {
-            hits as f64 / requests as f64
-        } else {
-            0.0
-        },
-    );
-    m.insert("entries".to_string(), entries as f64);
-    m.insert("bytes".to_string(), bytes as f64);
-    Ok(m)
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     let text = payload
         .downcast_ref::<&str>()
@@ -351,7 +285,6 @@ fn run_job(substrate: Substrate, job: &Job, setup: Option<&SharedSetup>) -> JobO
             .ok_or("missing shared setup".to_string())
             .and_then(|s| run_round_engine(job, s)),
         Substrate::Conformance => run_conformance(job),
-        Substrate::ServeCache => run_serve_cache(job),
     }))
     .unwrap_or_else(|payload| Err(panic_message(payload)));
     match result {
@@ -399,7 +332,7 @@ fn run_group(substrate: Substrate, jobs: &[&Job]) -> Vec<JobOutcome> {
                 }
             }
         }
-        Substrate::Conformance | Substrate::ServeCache => None,
+        Substrate::Conformance => None,
     };
     jobs.iter()
         .map(|job| run_job(substrate, job, setup.as_ref()))
@@ -563,32 +496,5 @@ mod tests {
             assert!(n > 0.0);
             assert!(out.metrics["rounds"] > 0.0);
         }
-    }
-
-    #[test]
-    fn serve_cache_hit_rate_reflects_reuse() {
-        let mut fixed = BTreeMap::new();
-        fixed.insert("family".to_string(), Value::String("cycle".into()));
-        fixed.insert("n".to_string(), Value::Number(12.0));
-        fixed.insert("requests".to_string(), Value::Number(40.0));
-        fixed.insert("distinct".to_string(), Value::Number(4.0));
-        let plan = AblationPlan {
-            name: "serve-test".into(),
-            substrate: Substrate::ServeCache,
-            mode: AblationMode::Grid,
-            samples: None,
-            factors: BTreeMap::new(),
-            fixed,
-            tolerances: BTreeMap::new(),
-        };
-        let jobs = expand(&plan, 4).unwrap();
-        let outcomes = run_jobs(Substrate::ServeCache, &jobs, None).unwrap();
-        assert_eq!(outcomes.len(), 1);
-        let out = &outcomes[0];
-        assert_eq!(out.error, None);
-        // 4 distinct queries over 40 requests: at most 4 misses.
-        assert!(out.metrics["misses"] <= 4.0);
-        assert!(out.metrics["hit_rate"] >= 0.9);
-        assert!(out.metrics["entries"] >= 1.0);
     }
 }

@@ -9,21 +9,7 @@
 use crate::plan::{AblationMode, AblationPlan};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use wdr_metrics::trajectory::fnv1a_64;
-
-/// Weyl increment of the SplitMix64 stream (same constant the scenario
-/// generator uses).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// One step of the SplitMix64 generator (Steele–Lea–Flood; the same
-/// finalizer `conformance::scenario` uses for seed-derived streams).
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(GOLDEN);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use wdr_metrics::util::{fnv1a_64, splitmix64, GOLDEN_GAMMA};
 
 /// One expanded job: a full parameter assignment plus a derived seed.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,7 +26,7 @@ pub struct Job {
 }
 
 fn job_seed(root_seed: u64, index: usize) -> u64 {
-    let mut state = root_seed.wrapping_add((index as u64).wrapping_mul(GOLDEN));
+    let mut state = root_seed.wrapping_add((index as u64).wrapping_mul(GOLDEN_GAMMA));
     splitmix64(&mut state)
 }
 

@@ -5,7 +5,7 @@
 //! subset) expands into a deterministic job list (full grid or seeded
 //! Latin-hypercube sample), each job runs on one of the existing
 //! substrates (conformance slices, quantum runs, sweep kernels, the round
-//! engine, serve load mixes), and the results land in a [`RunbookReport`]
+//! engine), and the results land in a [`RunbookReport`]
 //! with full provenance whose canonical JSON bytes are identical across
 //! reruns and lane counts.
 //!

@@ -1,7 +1,7 @@
-//! The declarative [`AblationPlan`] and its on-disk format: a hand-rolled
-//! RON subset extending the grammar of `wdr_conformance::corpus` (no `ron`
-//! crate is vendored) with strings, lists, maps, negative numbers, and
-//! `Option` values:
+//! The declarative [`AblationPlan`] and its on-disk format: the
+//! hand-rolled RON subset of `wdr_conformance::ron`, using more of it than
+//! the corpus does — strings, lists, maps, negative numbers, and `Option`
+//! values:
 //!
 //! ```text
 //! Ablation(
@@ -31,7 +31,9 @@
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use wdr_metrics::trajectory::fnv1a_hex;
+pub use wdr_conformance::ron::ParseError;
+use wdr_conformance::ron::{Lexer, Tok};
+use wdr_metrics::util::fnv1a_hex;
 
 /// How the factor space is explored.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -68,9 +70,6 @@ pub enum Substrate {
     /// An E8-style round-engine run (BFS tree + converge-cast under an
     /// optional fault plan).
     RoundEngine,
-    /// An E10-style serve load mix against the in-process `QueryEngine`
-    /// and content-addressed `ResultCache`.
-    ServeCache,
 }
 
 impl Substrate {
@@ -81,7 +80,6 @@ impl Substrate {
             Substrate::Quantum => "Quantum",
             Substrate::Sweep => "Sweep",
             Substrate::RoundEngine => "RoundEngine",
-            Substrate::ServeCache => "ServeCache",
         }
     }
 }
@@ -248,294 +246,15 @@ pub fn to_ron(plan: &AblationPlan) -> String {
     s
 }
 
-/// A parse failure: what was expected, and the byte offset it failed at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Human-readable description of the failure.
-    pub message: String,
-    /// Byte offset into the input.
-    pub offset: usize,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    UInt(u64),
-    Float(f64),
-    Str(String),
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Colon,
-    Comma,
-    Eof,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Lexer<'a> {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() {
-            match self.src[self.pos] {
-                b' ' | b'\t' | b'\r' | b'\n' => self.pos += 1,
-                b'/' if self.src.get(self.pos + 1) == Some(&b'/') => {
-                    while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-                        self.pos += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<Tok, ParseError> {
-        // Opening quote already consumed by the caller.
-        let mut out = String::new();
-        loop {
-            let Some(&c) = self.src.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(Tok::Str(out)),
-                b'\\' => {
-                    let Some(&esc) = self.src.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => return Err(self.err(format!("bad escape '\\{}'", other as char))),
-                    }
-                }
-                other => {
-                    // Multi-byte UTF-8 passes through byte by byte; the
-                    // source is a &str so the bytes are valid.
-                    if other.is_ascii() {
-                        out.push(other as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let mut end = self.pos;
-                        while end < self.src.len() && (self.src[end] & 0xC0) == 0x80 {
-                            end += 1;
-                        }
-                        out.push_str(std::str::from_utf8(&self.src[start..end]).map_err(|_| {
-                            ParseError {
-                                message: "invalid UTF-8 in string".into(),
-                                offset: start,
-                            }
-                        })?);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn next(&mut self) -> Result<Tok, ParseError> {
-        self.skip_ws();
-        let Some(&c) = self.src.get(self.pos) else {
-            return Ok(Tok::Eof);
-        };
-        match c {
-            b'(' => {
-                self.pos += 1;
-                Ok(Tok::LParen)
-            }
-            b')' => {
-                self.pos += 1;
-                Ok(Tok::RParen)
-            }
-            b'[' => {
-                self.pos += 1;
-                Ok(Tok::LBracket)
-            }
-            b']' => {
-                self.pos += 1;
-                Ok(Tok::RBracket)
-            }
-            b'{' => {
-                self.pos += 1;
-                Ok(Tok::LBrace)
-            }
-            b'}' => {
-                self.pos += 1;
-                Ok(Tok::RBrace)
-            }
-            b':' => {
-                self.pos += 1;
-                Ok(Tok::Colon)
-            }
-            b',' => {
-                self.pos += 1;
-                Ok(Tok::Comma)
-            }
-            b'"' => {
-                self.pos += 1;
-                self.string()
-            }
-            b'-' | b'0'..=b'9' => {
-                let start = self.pos;
-                if c == b'-' {
-                    self.pos += 1;
-                }
-                let digits_start = self.pos;
-                let mut is_float = false;
-                while self.pos < self.src.len() {
-                    match self.src[self.pos] {
-                        b'0'..=b'9' => self.pos += 1,
-                        b'.' | b'e' | b'E' if self.pos > digits_start => {
-                            is_float = true;
-                            self.pos += 1;
-                        }
-                        b'-' | b'+' if is_float => self.pos += 1,
-                        _ => break,
-                    }
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                if !is_float && c != b'-' {
-                    text.parse::<u64>()
-                        .map(Tok::UInt)
-                        .map_err(|e| self.err(format!("bad integer '{text}': {e}")))
-                } else {
-                    text.parse::<f64>()
-                        .map(Tok::Float)
-                        .map_err(|e| self.err(format!("bad number '{text}': {e}")))
-                }
-            }
-            b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                let start = self.pos;
-                while self
-                    .src
-                    .get(self.pos)
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
-                {
-                    self.pos += 1;
-                }
-                Ok(Tok::Ident(
-                    std::str::from_utf8(&self.src[start..self.pos])
-                        .unwrap()
-                        .to_string(),
-                ))
-            }
-            other => Err(self.err(format!("unexpected byte '{}'", other as char))),
-        }
-    }
-
-    fn peek(&mut self) -> Result<Tok, ParseError> {
-        let save = self.pos;
-        let tok = self.next();
-        self.pos = save;
-        tok
-    }
-
-    fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
-        let got = self.next()?;
-        if &got == want {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {want:?}, found {got:?}")))
-        }
-    }
-
-    fn expect_field(&mut self, name: &str) -> Result<(), ParseError> {
-        match self.next()? {
-            Tok::Ident(id) if id == name => self.expect(&Tok::Colon),
-            other => Err(self.err(format!("expected field '{name}', found {other:?}"))),
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next()? {
-            Tok::Ident(id) => Ok(id),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn string_lit(&mut self) -> Result<String, ParseError> {
-        match self.next()? {
-            Tok::Str(s) => Ok(s),
-            other => Err(self.err(format!("expected string, found {other:?}"))),
-        }
-    }
-
-    /// A scalar plan value: number, string, or bool.
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.next()? {
-            Tok::UInt(v) => Ok(Value::Number(v as f64)),
-            Tok::Float(v) => Ok(Value::Number(v)),
-            Tok::Str(s) => Ok(Value::String(s)),
-            Tok::Ident(id) if id == "true" => Ok(Value::Bool(true)),
-            Tok::Ident(id) if id == "false" => Ok(Value::Bool(false)),
-            other => Err(self.err(format!("expected scalar value, found {other:?}"))),
-        }
-    }
-
-    /// `None` or `Some(<f64>)`.
-    fn opt_f64(&mut self) -> Result<Option<f64>, ParseError> {
-        match self.next()? {
-            Tok::Ident(id) if id == "None" => Ok(None),
-            Tok::Ident(id) if id == "Some" => {
-                self.expect(&Tok::LParen)?;
-                let v = match self.next()? {
-                    Tok::UInt(v) => v as f64,
-                    Tok::Float(v) => v,
-                    other => return Err(self.err(format!("expected number, found {other:?}"))),
-                };
-                self.expect(&Tok::RParen)?;
-                Ok(Some(v))
-            }
-            other => Err(self.err(format!("expected None/Some, found {other:?}"))),
-        }
-    }
-
-    /// `None` or `Some(<usize>)`.
-    fn opt_usize(&mut self) -> Result<Option<usize>, ParseError> {
-        match self.next()? {
-            Tok::Ident(id) if id == "None" => Ok(None),
-            Tok::Ident(id) if id == "Some" => {
-                self.expect(&Tok::LParen)?;
-                let v = match self.next()? {
-                    Tok::UInt(v) => v as usize,
-                    other => return Err(self.err(format!("expected integer, found {other:?}"))),
-                };
-                self.expect(&Tok::RParen)?;
-                Ok(Some(v))
-            }
-            other => Err(self.err(format!("expected None/Some, found {other:?}"))),
-        }
+/// A scalar plan value: number, string, or bool.
+fn value(lx: &mut Lexer<'_>) -> Result<Value, ParseError> {
+    match lx.next_tok()? {
+        Tok::UInt(v) => Ok(Value::Number(v as f64)),
+        Tok::Float(v) => Ok(Value::Number(v)),
+        Tok::Str(s) => Ok(Value::String(s)),
+        Tok::Ident(id) if id == "true" => Ok(Value::Bool(true)),
+        Tok::Ident(id) if id == "false" => Ok(Value::Bool(false)),
+        other => Err(lx.err(format!("expected scalar value, found {other:?}"))),
     }
 }
 
@@ -556,7 +275,7 @@ fn parse_factor_map(lx: &mut Lexer<'_>) -> Result<BTreeMap<String, Vec<Value>>, 
                 lx.expect(&Tok::RBracket)?;
                 break;
             }
-            levels.push(lx.value()?);
+            levels.push(value(lx)?);
             if lx.peek()? == Tok::Comma {
                 lx.expect(&Tok::Comma)?;
             }
@@ -578,8 +297,7 @@ fn parse_fixed_map(lx: &mut Lexer<'_>) -> Result<BTreeMap<String, Value>, ParseE
         }
         let key = lx.string_lit()?;
         lx.expect(&Tok::Colon)?;
-        let value = lx.value()?;
-        if map.insert(key.clone(), value).is_some() {
+        if map.insert(key.clone(), value(lx)?).is_some() {
             return Err(lx.err(format!("duplicate fixed param '{key}'")));
         }
         lx.expect(&Tok::Comma)?;
@@ -602,16 +320,16 @@ fn parse_tolerance_map(lx: &mut Lexer<'_>) -> Result<BTreeMap<String, ToleranceS
         }
         lx.expect(&Tok::LParen)?;
         lx.expect_field("min")?;
-        let min = lx.opt_f64()?;
+        let min = lx.opt(Lexer::float)?;
         lx.expect(&Tok::Comma)?;
         lx.expect_field("max")?;
-        let max = lx.opt_f64()?;
+        let max = lx.opt(Lexer::float)?;
         lx.expect(&Tok::Comma)?;
         lx.expect_field("abs")?;
-        let abs = lx.opt_f64()?;
+        let abs = lx.opt(Lexer::float)?;
         lx.expect(&Tok::Comma)?;
         lx.expect_field("rel")?;
-        let rel = lx.opt_f64()?;
+        let rel = lx.opt(Lexer::float)?;
         lx.expect(&Tok::RParen)?;
         if map
             .insert(key.clone(), ToleranceSpec { min, max, abs, rel })
@@ -628,7 +346,7 @@ fn parse_tolerance_map(lx: &mut Lexer<'_>) -> Result<BTreeMap<String, ToleranceS
 /// a fixed order keeps the parser and review diffs simple).
 pub fn parse(text: &str) -> Result<AblationPlan, ParseError> {
     let mut lx = Lexer::new(text);
-    match lx.next()? {
+    match lx.next_tok()? {
         Tok::Ident(id) if id == "Ablation" => {}
         other => return Err(lx.err(format!("expected 'Ablation', found {other:?}"))),
     }
@@ -642,7 +360,6 @@ pub fn parse(text: &str) -> Result<AblationPlan, ParseError> {
         "Quantum" => Substrate::Quantum,
         "Sweep" => Substrate::Sweep,
         "RoundEngine" => Substrate::RoundEngine,
-        "ServeCache" => Substrate::ServeCache,
         other => return Err(lx.err(format!("unknown substrate '{other}'"))),
     };
     lx.expect(&Tok::Comma)?;
@@ -654,7 +371,7 @@ pub fn parse(text: &str) -> Result<AblationPlan, ParseError> {
     };
     lx.expect(&Tok::Comma)?;
     lx.expect_field("samples")?;
-    let samples = lx.opt_usize()?;
+    let samples = lx.opt(|lx| lx.uint().map(|v| v as usize))?;
     lx.expect(&Tok::Comma)?;
     lx.expect_field("factors")?;
     let factors = parse_factor_map(&mut lx)?;
@@ -666,7 +383,7 @@ pub fn parse(text: &str) -> Result<AblationPlan, ParseError> {
     let tolerances = parse_tolerance_map(&mut lx)?;
     lx.expect(&Tok::Comma)?;
     lx.expect(&Tok::RParen)?;
-    match lx.next()? {
+    match lx.next_tok()? {
         Tok::Eof => Ok(AblationPlan {
             name,
             substrate,

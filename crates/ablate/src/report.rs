@@ -23,7 +23,7 @@ use serde_json::Value;
 use std::collections::BTreeMap;
 use wdr_metrics::provenance;
 use wdr_metrics::snapshot::write_f64;
-use wdr_metrics::trajectory::fnv1a_hex;
+use wdr_metrics::util::fnv1a_hex;
 
 /// Provenance header of a runbook. Deliberately timestamp-free so rerun
 /// bytes are identical (the schema version covers format evolution).

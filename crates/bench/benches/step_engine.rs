@@ -16,16 +16,10 @@ use congest_sim::{run_phase, Bandwidth, Mailbox, NodeCtx, NodeProgram, SimConfig
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use wdr_metrics::util::mix64;
 
 const ROUNDS: usize = 40;
 const WORK: u32 = 64;
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 struct GossipMix {
     digest: u64,
@@ -36,7 +30,7 @@ impl NodeProgram for GossipMix {
     type Output = u64;
 
     fn start(&mut self, ctx: &NodeCtx, mb: &mut Mailbox<u64>) {
-        self.digest = mix(ctx.id as u64 + 1);
+        self.digest = mix64(ctx.id as u64 + 1);
         mb.broadcast(ctx, self.digest);
     }
 
@@ -48,10 +42,10 @@ impl NodeProgram for GossipMix {
         mb: &mut Mailbox<u64>,
     ) -> Status {
         for &(_, d) in inbox {
-            self.digest = mix(self.digest ^ d);
+            self.digest = mix64(self.digest ^ d);
         }
         for _ in 0..WORK {
-            self.digest = mix(self.digest);
+            self.digest = mix64(self.digest);
         }
         if round < ROUNDS {
             mb.broadcast(ctx, self.digest);
@@ -74,7 +68,7 @@ fn dense(n: usize) -> WeightedGraph {
 fn run_gossip(g: &WeightedGraph, config: &SimConfig) -> u64 {
     let (out, _) = run_phase(g, 0, config, "e8_gossip", |_, _| GossipMix { digest: 0 })
         .expect("gossip run succeeds");
-    out.iter().fold(0, |acc, &d| mix(acc ^ d))
+    out.iter().fold(0, |acc, &d| mix64(acc ^ d))
 }
 
 fn bench_sequential(c: &mut Criterion) {

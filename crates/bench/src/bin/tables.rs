@@ -66,10 +66,6 @@ fn main() {
         eprintln!("[tables] running E9…");
         outputs.push(experiments::e9(quick, &out_dir));
     }
-    if run("e10") {
-        eprintln!("[tables] running E10…");
-        outputs.push(experiments::e10(quick, &out_dir));
-    }
     if run("e11") {
         eprintln!("[tables] running E11…");
         outputs.push(experiments::e11(quick, &out_dir));

@@ -24,6 +24,7 @@ use congest_wdr::params::WdrParams;
 use congest_wdr::unweighted::quantum_unweighted;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use wdr_metrics::util::mix64;
 
 const MAX_W: u64 = 8;
 const EPS: f64 = 0.25;
@@ -682,19 +683,12 @@ struct GossipMix {
     work: u32,
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl congest_sim::NodeProgram for GossipMix {
     type Msg = u64;
     type Output = u64;
 
     fn start(&mut self, ctx: &congest_sim::NodeCtx, mb: &mut congest_sim::Mailbox<u64>) {
-        self.digest = mix(ctx.id as u64 + 1);
+        self.digest = mix64(ctx.id as u64 + 1);
         mb.broadcast(ctx, self.digest);
     }
 
@@ -706,10 +700,10 @@ impl congest_sim::NodeProgram for GossipMix {
         mb: &mut congest_sim::Mailbox<u64>,
     ) -> congest_sim::Status {
         for &(_, d) in inbox {
-            self.digest = mix(self.digest ^ d);
+            self.digest = mix64(self.digest ^ d);
         }
         for _ in 0..self.work {
-            self.digest = mix(self.digest);
+            self.digest = mix64(self.digest);
         }
         if round < self.rounds {
             mb.broadcast(ctx, self.digest);
@@ -1130,168 +1124,6 @@ pub fn e9(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     }
 }
 
-/// One E10 load-mix measurement, serialized into `BENCH_serve.json`.
-#[derive(Clone, Debug, serde::Serialize)]
-struct E10Row {
-    workers: usize,
-    mix: String,
-    clients: usize,
-    requests: usize,
-    completed: usize,
-    rejected: usize,
-    qps: f64,
-    p50_us: u64,
-    p99_us: u64,
-    hit_rate: f64,
-}
-
-/// The machine-readable E10 report (`BENCH_serve.json`).
-#[derive(Clone, Debug, serde::Serialize)]
-struct E10Report {
-    experiment: String,
-    meta: wdr_metrics::RunMeta,
-    host_threads: usize,
-    rows: Vec<E10Row>,
-    /// Derived cross-row metrics: `e10.scaling.speedup` is cold-mix qps
-    /// at the widest worker count over one worker.
-    metrics: Vec<(String, f64)>,
-}
-
-/// E10: sustained serving throughput — an in-process `wdr-serve` daemon
-/// at 1/2/4/8 workers under the `wdr-load` closed loop, on a cache-cold
-/// mix (unique scenario per request: raw kernel + graph-build throughput)
-/// and a cache-hot repeat mix (fixed 8-entry working set: the
-/// content-addressed cache must hold ≥ 90% hit rate). Writes
-/// `BENCH_serve.json` under `out_dir`.
-pub fn e10(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
-    use wdr_serve::{loadgen, LoadConfig, MixKind, ServeConfig, Server};
-    let host_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let worker_counts = [1usize, 2, 4, 8];
-    let (clients, requests) = if quick { (4, 160) } else { (8, 800) };
-    let mut table = Table::new(
-        "E10",
-        "Sustained serving throughput: wdr-serve under the wdr-load closed loop",
-        &[
-            "workers", "mix", "clients", "requests", "qps", "p50", "p99", "hit rate", "rejected",
-        ],
-    );
-    let mut rows: Vec<E10Row> = Vec::new();
-    let mut seed_list: Vec<u64> = Vec::new();
-    let mut cold_qps: Vec<(usize, f64)> = Vec::new();
-    for &workers in &worker_counts {
-        let registry = wdr_metrics::MetricsRegistry::new();
-        let handle = Server::spawn(
-            ServeConfig {
-                workers,
-                queue_capacity: 256,
-                ..ServeConfig::default()
-            },
-            &registry,
-        )
-        .expect("spawn wdr-serve for E10");
-        let addr = handle.addr().to_string();
-        let seed = 10_000 + workers as u64;
-        seed_list.push(seed);
-        for mix in [MixKind::Cold, MixKind::Repeat] {
-            let report = loadgen::run(&LoadConfig {
-                addr: addr.clone(),
-                clients,
-                requests,
-                mix,
-                seed,
-                n: Some(48),
-                deadline: None,
-            })
-            .expect("E10 load run");
-            assert_eq!(
-                report.errors,
-                0,
-                "E10 load errored at workers={workers} mix={}",
-                mix.name()
-            );
-            assert_eq!(
-                report.completed, requests,
-                "E10 closed loop finished every request"
-            );
-            if mix == MixKind::Repeat {
-                assert!(
-                    report.hit_rate >= 0.90,
-                    "repeat-mix hit rate {:.3} < 0.90 at workers={workers}",
-                    report.hit_rate
-                );
-            } else {
-                cold_qps.push((workers, report.qps));
-            }
-            rows.push(E10Row {
-                workers,
-                mix: mix.name().into(),
-                clients,
-                requests,
-                completed: report.completed,
-                rejected: report.rejected,
-                qps: report.qps,
-                p50_us: report.p50_us,
-                p99_us: report.p99_us,
-                hit_rate: report.hit_rate,
-            });
-        }
-        handle.shutdown();
-    }
-    let single = cold_qps.first().map_or(1.0, |&(_, q)| q);
-    let widest = cold_qps.last().map_or(1.0, |&(_, q)| q);
-    let speedup = widest / single.max(1e-9);
-    // Like E8's scaling gate: the ≥ 4× claim only binds where the host can
-    // physically provide it; the measurement is recorded regardless.
-    assert!(
-        host_threads < 8 || speedup >= 4.0,
-        "cold-mix scaling {speedup:.2}× at 8 workers < 4× on a {host_threads}-thread host"
-    );
-    for r in &rows {
-        table.push(vec![
-            r.workers.to_string(),
-            r.mix.clone(),
-            r.clients.to_string(),
-            r.requests.to_string(),
-            format!("{:.0}", r.qps),
-            format!("{}µs", r.p50_us),
-            format!("{}µs", r.p99_us),
-            format!("{:.3}", r.hit_rate),
-            r.rejected.to_string(),
-        ]);
-    }
-    let report = E10Report {
-        experiment: "E10".into(),
-        meta: wdr_metrics::RunMeta::capture(&seed_list),
-        host_threads,
-        rows,
-        metrics: vec![("e10.scaling.speedup".to_string(), speedup)],
-    };
-    std::fs::create_dir_all(out_dir).expect("create E10 output dir");
-    let path = out_dir.join("BENCH_serve.json");
-    std::fs::write(
-        &path,
-        serde_json::to_string(&report).expect("E10 report serializes"),
-    )
-    .expect("write BENCH_serve.json");
-    table.commentary = format!(
-        "Each row is one closed-loop run ({clients} clients, {requests} requests) \
-         against a fresh in-process daemon. `cold` issues a unique scenario per \
-         request with the cache bypassed (the cache is content-addressed, so \
-         unique seeds alone would still dedup identical family graphs) — every \
-         query builds a graph and runs its kernel, and qps measures raw serving \
-         compute; `repeat` cycles a fixed 8-entry working set, so \
-         steady state is almost entirely cache hits (asserted ≥ 0.90) and qps \
-         measures the cache/protocol path. Cold-mix scaling at 8 workers vs 1 is \
-         recorded as e10.scaling.speedup = {speedup:.2}× (gated ≥ 4× only on hosts \
-         with ≥ 8 threads; this host reports {host_threads}). Latencies are \
-         client-observed microseconds over TCP loopback.",
-    );
-    ExperimentOutput {
-        tables: vec![table],
-        artifacts: vec![path.display().to_string()],
-    }
-}
-
 /// One E11 giant-scale pipeline measurement, serialized into
 /// `BENCH_giant.json`.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -1657,7 +1489,7 @@ pub fn e12(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
         batch_speedup = seq_secs / wall.max(1e-9);
         lane_count = lanes;
     }
-    // The throughput gate, host-conditional like E8/E10: ≥ 5× at 8 lanes
+    // The throughput gate, host-conditional like E8: ≥ 5× at 8 lanes
     // (target ~10×) only means something with ≥ 8 hardware threads.
     assert!(
         host_threads < 8 || batch_speedup >= 5.0,
@@ -2269,7 +2101,6 @@ pub fn run_all(quick: bool, out_dir: &std::path::Path) -> Vec<ExperimentOutput> 
         e7(quick),
         e8(quick, out_dir),
         e9(quick, out_dir),
-        e10(quick, out_dir),
         e11(quick, out_dir),
         e12(quick, out_dir),
         figures(out_dir),

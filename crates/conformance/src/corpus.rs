@@ -1,8 +1,8 @@
 //! The on-disk corpus format: one scenario per `*.ron` file under
-//! `tests/corpus/`, in a hand-rolled subset of RON (no `ron` crate is
-//! vendored). The grammar covers exactly what [`ScenarioSpec`] needs —
-//! named structs, tuple-ish variants with named fields, unit variants,
-//! unsigned integers, and floats:
+//! `tests/corpus/`, in the hand-rolled RON subset of [`crate::ron`]. The
+//! grammar uses exactly what [`ScenarioSpec`] needs — named structs,
+//! tuple-ish variants with named fields, unit variants, unsigned integers,
+//! and floats:
 //!
 //! ```text
 //! Scenario(
@@ -19,6 +19,8 @@
 //! Floats are written with Rust's shortest-roundtrip formatting, so
 //! `parse(to_ron(spec)) == spec` exactly (property-tested).
 
+pub use crate::ron::ParseError;
+use crate::ron::{Lexer, Tok};
 use crate::scenario::{Family, FaultSpec, ParMode, ScenarioSpec, Workload};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -64,191 +66,19 @@ pub fn to_ron(spec: &ScenarioSpec) -> String {
     s
 }
 
-/// A parse failure: what was expected, and the byte offset it failed at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Human-readable description of the failure.
-    pub message: String,
-    /// Byte offset into the input.
-    pub offset: usize,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    UInt(u64),
-    Float(f64),
-    LParen,
-    RParen,
-    Colon,
-    Comma,
-    Eof,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Lexer<'a> {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() {
-            match self.src[self.pos] {
-                b' ' | b'\t' | b'\r' | b'\n' => self.pos += 1,
-                b'/' if self.src.get(self.pos + 1) == Some(&b'/') => {
-                    while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-                        self.pos += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn next(&mut self) -> Result<Tok, ParseError> {
-        self.skip_ws();
-        let Some(&c) = self.src.get(self.pos) else {
-            return Ok(Tok::Eof);
-        };
-        match c {
-            b'(' => {
-                self.pos += 1;
-                Ok(Tok::LParen)
-            }
-            b')' => {
-                self.pos += 1;
-                Ok(Tok::RParen)
-            }
-            b':' => {
-                self.pos += 1;
-                Ok(Tok::Colon)
-            }
-            b',' => {
-                self.pos += 1;
-                Ok(Tok::Comma)
-            }
-            b'0'..=b'9' => {
-                let start = self.pos;
-                let mut is_float = false;
-                while self.pos < self.src.len() {
-                    match self.src[self.pos] {
-                        b'0'..=b'9' => self.pos += 1,
-                        b'.' | b'e' | b'E' | b'-' | b'+' if self.pos > start => {
-                            is_float = true;
-                            self.pos += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                if is_float {
-                    text.parse::<f64>()
-                        .map(Tok::Float)
-                        .map_err(|e| self.err(format!("bad float '{text}': {e}")))
-                } else {
-                    text.parse::<u64>()
-                        .map(Tok::UInt)
-                        .map_err(|e| self.err(format!("bad integer '{text}': {e}")))
-                }
-            }
-            b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                let start = self.pos;
-                while self
-                    .src
-                    .get(self.pos)
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
-                {
-                    self.pos += 1;
-                }
-                Ok(Tok::Ident(
-                    std::str::from_utf8(&self.src[start..self.pos])
-                        .unwrap()
-                        .to_string(),
-                ))
-            }
-            other => Err(self.err(format!("unexpected byte '{}'", other as char))),
-        }
-    }
-
-    fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
-        let got = self.next()?;
-        if &got == want {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {want:?}, found {got:?}")))
-        }
-    }
-
-    fn expect_field(&mut self, name: &str) -> Result<(), ParseError> {
-        match self.next()? {
-            Tok::Ident(id) if id == name => self.expect(&Tok::Colon),
-            other => Err(self.err(format!("expected field '{name}', found {other:?}"))),
-        }
-    }
-
-    fn uint(&mut self) -> Result<u64, ParseError> {
-        match self.next()? {
-            Tok::UInt(v) => Ok(v),
-            other => Err(self.err(format!("expected integer, found {other:?}"))),
-        }
-    }
-
-    fn float(&mut self) -> Result<f64, ParseError> {
-        match self.next()? {
-            Tok::Float(v) => Ok(v),
-            Tok::UInt(v) => Ok(v as f64),
-            other => Err(self.err(format!("expected number, found {other:?}"))),
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next()? {
-            Tok::Ident(id) => Ok(id),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    /// Field separator inside `(...)`: a comma (possibly trailing).
-    fn sep(&mut self) -> Result<(), ParseError> {
-        self.expect(&Tok::Comma)
-    }
-}
-
 /// Parses one scenario from the corpus format. Fields must appear in the
 /// canonical [`to_ron`] order (the corpus is machine-written; a fixed
 /// order keeps the parser and diffs simple).
 pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
     let mut lx = Lexer::new(text);
-    match lx.next()? {
+    match lx.next_tok()? {
         Tok::Ident(id) if id == "Scenario" => {}
         other => return Err(lx.err(format!("expected 'Scenario', found {other:?}"))),
     }
     lx.expect(&Tok::LParen)?;
     lx.expect_field("seed")?;
     let seed = lx.uint()?;
-    lx.sep()?;
+    lx.expect(&Tok::Comma)?;
     lx.expect_field("family")?;
     let family = match lx.ident()?.as_str() {
         "Path" => Family::Path,
@@ -272,13 +102,13 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
         }
         other => return Err(lx.err(format!("unknown family '{other}'"))),
     };
-    lx.sep()?;
+    lx.expect(&Tok::Comma)?;
     lx.expect_field("n")?;
     let n = lx.uint()? as usize;
-    lx.sep()?;
+    lx.expect(&Tok::Comma)?;
     lx.expect_field("max_weight")?;
     let max_weight = lx.uint()?;
-    lx.sep()?;
+    lx.expect(&Tok::Comma)?;
     lx.expect_field("faults")?;
     let faults = match lx.ident()?.as_str() {
         "NoFaults" => FaultSpec::NoFaults,
@@ -293,10 +123,10 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
             lx.expect(&Tok::LParen)?;
             lx.expect_field("node")?;
             let node = lx.uint()? as usize;
-            lx.sep()?;
+            lx.expect(&Tok::Comma)?;
             lx.expect_field("from")?;
             let from = lx.uint()? as usize;
-            lx.sep()?;
+            lx.expect(&Tok::Comma)?;
             lx.expect_field("len")?;
             let len = lx.uint()? as usize;
             lx.expect(&Tok::RParen)?;
@@ -304,14 +134,14 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
         }
         other => return Err(lx.err(format!("unknown fault spec '{other}'"))),
     };
-    lx.sep()?;
+    lx.expect(&Tok::Comma)?;
     lx.expect_field("parallelism")?;
     let parallelism = match lx.ident()?.as_str() {
         "Sequential" => ParMode::Sequential,
         "Parallel" => ParMode::Parallel,
         other => return Err(lx.err(format!("unknown parallelism '{other}'"))),
     };
-    lx.sep()?;
+    lx.expect(&Tok::Comma)?;
     lx.expect_field("workload")?;
     let workload = match lx.ident()?.as_str() {
         "BaselineExact" => Workload::BaselineExact,
@@ -320,9 +150,9 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
         "PrimitiveAggregate" => Workload::PrimitiveAggregate,
         other => return Err(lx.err(format!("unknown workload '{other}'"))),
     };
-    lx.sep()?;
+    lx.expect(&Tok::Comma)?;
     lx.expect(&Tok::RParen)?;
-    match lx.next()? {
+    match lx.next_tok()? {
         Tok::Eof => Ok(ScenarioSpec {
             seed,
             family,
@@ -393,6 +223,16 @@ mod tests {
         assert!(parse("Banana(seed: 1)").is_err());
         let good = to_ron(&ScenarioSpec::from_seed(3));
         assert!(parse(&format!("{good} trailing")).is_err());
+        // Lexable since the lexer learned negatives and strings, but still
+        // invalid here: each is a typed error at the offending token.
+        let negative = "Scenario(seed: -3, family: Path,";
+        let err = parse(negative).unwrap_err();
+        assert!(err.message.contains("expected integer"), "{err}");
+        assert_eq!(err.offset, negative.find("-3").unwrap() + 2);
+        let quoted = "Scenario(seed: 3, family: \"Path\", n: 4,";
+        let err = parse(quoted).unwrap_err();
+        assert!(err.message.contains("expected identifier"), "{err}");
+        assert_eq!(err.offset, quoted.find("\"Path\"").unwrap() + 6);
     }
 
     #[test]

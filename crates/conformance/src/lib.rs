@@ -13,8 +13,10 @@
 //!   plan × parallelism mode × workload. Specs are self-describing so a
 //!   failing seed can be shrunk (halve `n`, drop faults, …) and the
 //!   shrunken spec replayed verbatim.
-//! * [`corpus`] — the on-disk format (`tests/corpus/*.ron`, a hand-rolled
-//!   RON subset since no `ron` crate is vendored) and directory loader.
+//! * [`corpus`] — the on-disk format (`tests/corpus/*.ron`) and directory
+//!   loader.
+//! * [`ron`] — the hand-rolled RON-subset lexer (no `ron` crate is
+//!   vendored) behind both corpus files and `wdr-ablate` plans.
 //! * [`oracle`] — runs one scenario and checks it: exact-answer agreement
 //!   for the classical baselines, the `(1+o(1))` sandwich for
 //!   [`congest_wdr::algorithm::quantum_weighted`] with the `o(1)` term as
@@ -52,5 +54,6 @@ pub mod batch;
 pub mod corpus;
 pub mod envelope;
 pub mod oracle;
+pub mod ron;
 pub mod runner;
 pub mod scenario;

@@ -13,6 +13,7 @@ use congest_graph::WeightedGraph;
 use congest_sim::{FaultPlan, Parallelism, SimConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use wdr_metrics::util::splitmix64;
 
 /// Graph family of a scenario, mirroring [`congest_graph::generators`].
 ///
@@ -113,14 +114,6 @@ pub struct ScenarioSpec {
     pub parallelism: ParMode,
     /// Workload and oracle set.
     pub workload: Workload,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn pick(state: &mut u64, m: u64) -> u64 {

@@ -9,8 +9,8 @@
 //! parallel edges were supplied — hash identically (pinned by a proptest in
 //! `tests/properties.rs`).
 //!
-//! The digest is the graph half of the serving layer's content-addressed
-//! cache key and doubles as a provenance stamp for `BENCH_*.json` rows.
+//! The digest is the graph identity behind batch grouping, the `.wdrg`
+//! file header and ablation provenance.
 //!
 //! # Examples
 //!
@@ -24,14 +24,12 @@
 
 use crate::graph::WeightedGraph;
 use std::fmt;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use wdr_metrics::util::Fnv1a;
 
 /// A stable 64-bit content hash of a [`WeightedGraph`].
 ///
 /// Equal digests mean byte-identical canonical edge lists; the `Display`
-/// form is the fixed-width 16-digit lowercase hex used in cache keys.
+/// form is fixed-width 16-digit lowercase hex.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct GraphDigest(pub u64);
 
@@ -46,14 +44,6 @@ impl fmt::Display for GraphDigest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
     }
-}
-
-fn fnv_u64(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 impl WeightedGraph {
@@ -75,13 +65,14 @@ impl WeightedGraph {
     /// header value: streams `n` and every canonical edge triple through
     /// the hash without allocating; `O(m)` time.
     pub fn recompute_digest(&self) -> GraphDigest {
-        let mut hash = fnv_u64(FNV_OFFSET, self.n() as u64);
+        let mut hash = Fnv1a::new();
+        hash.write_u64(self.n() as u64);
         for e in self.edges() {
-            hash = fnv_u64(hash, e.u as u64);
-            hash = fnv_u64(hash, e.v as u64);
-            hash = fnv_u64(hash, e.w);
+            hash.write_u64(e.u as u64);
+            hash.write_u64(e.v as u64);
+            hash.write_u64(e.w);
         }
-        GraphDigest(hash)
+        GraphDigest(hash.finish())
     }
 }
 
@@ -113,6 +104,14 @@ mod tests {
         assert_eq!(hex.len(), 16);
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(format!("{}", g.digest()), hex);
+    }
+
+    #[test]
+    fn digest_matches_reference_value() {
+        let g =
+            WeightedGraph::from_edges(4, [(0, 1, 3), (1, 2, 5), (2, 3, 7), (0, 3, 11)]).unwrap();
+        assert_eq!(g.digest().to_hex(), "78b0f6c36a042e2b");
+        assert_eq!(generators::path(6, 2).digest().to_hex(), "7d658f474121a4a4");
     }
 
     #[test]

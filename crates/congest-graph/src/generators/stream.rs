@@ -26,6 +26,7 @@
 
 use crate::graph::{NodeId, Weight, WeightedGraph};
 use crate::io::{build_streamed, StreamBuildError};
+use wdr_metrics::util::splitmix64;
 
 /// SplitMix64: the tiny, seedable, fully deterministic PRNG the emitters
 /// replay from. (Chosen over the workspace's ChaCha generator because an
@@ -40,11 +41,7 @@ impl SplitMix64 {
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     /// Uniform draw in `[0, bound)` (`bound > 0`) by 128-bit multiply.

@@ -18,8 +18,8 @@
 //! * [`SsspWorkspace`] — reusable scratch so multi-source shortest-path
 //!   loops run allocation-free, with a Dial bucket queue for small weights;
 //! * [`SweepWorkspace`] — the same reuse for whole extremes queries, plus
-//!   [`GraphDigest`], the stable FNV-1a content hash serving-layer caches
-//!   key on;
+//!   [`GraphDigest`], the stable FNV-1a content hash that batch grouping
+//!   and the `.wdrg` header key on;
 //! * [`DistMatrix`] — flat single-allocation all-pairs distance tables;
 //! * [`rounding`] — the weight-rounding scheme `w_i` and approximate
 //!   bounded-hop distance `d̃^ℓ` (Lemma 3.2);

@@ -151,10 +151,10 @@ pub fn extremes_with<G: CsrGraph>(g: &G, metric: EdgeMetric) -> SweepResult {
 /// Reusable scratch for pruned-sweep extremes queries.
 ///
 /// Owns an [`SsspWorkspace`] plus the four per-node bound tables the sweep
-/// maintains, so a long-lived holder (a serving worker, a benchmark loop)
+/// maintains, so a long-lived holder (a benchmark loop, a batch lane)
 /// computes diameter/radius/witnesses with **zero steady-state heap
 /// operations** once the buffers have grown to the largest graph seen
-/// (pinned by `wdr-serve`'s `tests/zero_alloc.rs`). Results are
+/// (pinned by `tests/kernel_alloc.rs`). Results are
 /// bit-identical to [`extremes_with`].
 ///
 /// # Examples

@@ -1,7 +1,8 @@
-//! The SSSP workspace's zero-allocation claim, measured: once one call per
-//! kernel has grown every scratch buffer (distance rows, heaps, Dial
-//! buckets, BFS frontiers) to its steady-state capacity, repeated sweeps
-//! over the same graph must not touch the heap at all. A counting global
+//! The SSSP and sweep workspaces' zero-allocation claim, measured: once one
+//! call per kernel has grown every scratch buffer (distance rows, heaps,
+//! Dial buckets, BFS frontiers, sweep bound tables) to its steady-state
+//! capacity, repeated sweeps over the same graph must not touch the heap
+//! at all. A counting global
 //! allocator turns any regression — a rebuilt `Vec`, a per-scale graph
 //! clone, a stray `collect` — into an immediate failure, mirroring the
 //! round engine's `zero_alloc` harness in `congest-sim`.
@@ -16,7 +17,7 @@
 use std::alloc::System;
 
 use congest_graph::rounding::{approx_hop_bounded_into, RoundingScheme};
-use congest_graph::{generators, Dist, SsspWorkspace, WeightedGraph};
+use congest_graph::{generators, Dist, EdgeMetric, SsspWorkspace, SweepWorkspace, WeightedGraph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wdr_metrics::heap::{heap_ops, track_current_thread, CountingAlloc};
@@ -29,6 +30,7 @@ static GLOBAL: CountingAlloc<System> = CountingAlloc::new(System);
 /// weights (the Dial bucket-queue path), `heavy` forces the binary heap.
 fn exercise(
     ws: &mut SsspWorkspace,
+    sweep: &mut SweepWorkspace,
     light: &WeightedGraph,
     heavy: &WeightedGraph,
     approx_out: &mut [f64],
@@ -50,6 +52,11 @@ fn exercise(
     if approx_out[(s + 1) % n].is_finite() {
         acc = acc + Dist::from(approx_out[(s + 1) % n] as u64);
     }
+    for g in [light, heavy] {
+        let r = sweep.extremes_into(g, EdgeMetric::Weighted);
+        acc = acc + r.diameter + r.radius;
+        acc = acc + sweep.extremes_into(g, EdgeMetric::Unweighted).diameter;
+    }
     acc
 }
 
@@ -62,18 +69,37 @@ fn warmed_up_kernels_do_not_allocate() {
     assert!(heavy.max_weight() > congest_graph::DIAL_MAX_WEIGHT);
     let scheme = RoundingScheme::new(4, 0.5);
     let mut ws = SsspWorkspace::new();
+    let mut sweep = SweepWorkspace::new();
     let mut approx_out = vec![0.0f64; light.n()];
 
     // Warm-up: one pass from every source grows each buffer, heap and Dial
     // bucket to its worst-case steady-state capacity.
     let mut sink = Dist::ZERO;
     for round in 0..light.n() {
-        sink = sink + exercise(&mut ws, &light, &heavy, &mut approx_out, scheme, round);
+        sink = sink
+            + exercise(
+                &mut ws,
+                &mut sweep,
+                &light,
+                &heavy,
+                &mut approx_out,
+                scheme,
+                round,
+            );
     }
 
     let before = heap_ops();
     for round in 0..32 {
-        sink = sink + exercise(&mut ws, &light, &heavy, &mut approx_out, scheme, round);
+        sink = sink
+            + exercise(
+                &mut ws,
+                &mut sweep,
+                &light,
+                &heavy,
+                &mut approx_out,
+                scheme,
+                round,
+            );
     }
     let delta = heap_ops() - before;
     assert_eq!(

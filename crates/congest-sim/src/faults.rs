@@ -52,6 +52,7 @@
 use congest_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use wdr_metrics::util::mix64;
 
 /// A per-directed-link drop-rate override.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -264,24 +265,17 @@ pub struct FaultOracle {
     bursts: Vec<BurstWindow>,
 }
 
-/// SplitMix64 finalizer: a high-quality 64-bit mixer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl FaultOracle {
     /// A uniform draw in `[0, 1)`, keyed purely on the decision coordinates
     /// (see the module docs: this is what makes traces replayable).
     fn unit(&self, round: usize, from: NodeId, to: NodeId, k: u64) -> f64 {
-        let h = mix(self
-            .seed
-            .wrapping_add(mix(round as u64))
-            .wrapping_add(mix((from as u64).wrapping_mul(0x517c_c1b7_2722_0a95)))
-            .wrapping_add(mix((to as u64).wrapping_mul(0x2545_f491_4f6c_dd1d)))
-            .wrapping_add(mix(k)));
+        let h = mix64(
+            self.seed
+                .wrapping_add(mix64(round as u64))
+                .wrapping_add(mix64((from as u64).wrapping_mul(0x517c_c1b7_2722_0a95)))
+                .wrapping_add(mix64((to as u64).wrapping_mul(0x2545_f491_4f6c_dd1d)))
+                .wrapping_add(mix64(k)),
+        );
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 

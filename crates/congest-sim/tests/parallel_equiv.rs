@@ -21,13 +21,7 @@ use congest_sim::{
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use wdr_metrics::util::mix64;
 
 /// Gossip workload: each node folds its inbox into a digest and rebroadcasts
 /// for a fixed number of rounds. The digest is sensitive to message *order*,
@@ -42,7 +36,7 @@ impl NodeProgram for Gossip {
     type Output = u64;
 
     fn start(&mut self, ctx: &NodeCtx, mb: &mut Mailbox<u64>) {
-        self.digest = mix(ctx.id as u64 + 1);
+        self.digest = mix64(ctx.id as u64 + 1);
         mb.broadcast(ctx, self.digest);
     }
 
@@ -55,7 +49,7 @@ impl NodeProgram for Gossip {
     ) -> Status {
         // Deliberately order-sensitive fold (not commutative).
         for &(from, d) in inbox {
-            self.digest = mix(self.digest.rotate_left(7) ^ d ^ from as u64);
+            self.digest = mix64(self.digest.rotate_left(7) ^ d ^ from as u64);
         }
         if round < self.rounds {
             mb.broadcast(ctx, self.digest);

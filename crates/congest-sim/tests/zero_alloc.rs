@@ -21,6 +21,7 @@ use congest_sim::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wdr_metrics::heap::{heap_ops, track_current_thread, CountingAlloc};
+use wdr_metrics::util::mix64;
 use wdr_metrics::MetricsRegistry;
 
 #[global_allocator]
@@ -33,18 +34,12 @@ struct EndlessGossip {
     digest: u64,
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^ (x >> 31)
-}
-
 impl NodeProgram for EndlessGossip {
     type Msg = u64;
     type Output = u64;
 
     fn start(&mut self, ctx: &NodeCtx, mb: &mut Mailbox<u64>) {
-        self.digest = mix(ctx.id as u64 + 1);
+        self.digest = mix64(ctx.id as u64 + 1);
         mb.broadcast(ctx, self.digest);
     }
 
@@ -56,7 +51,7 @@ impl NodeProgram for EndlessGossip {
         mb: &mut Mailbox<u64>,
     ) -> Status {
         for &(_, d) in inbox {
-            self.digest = mix(self.digest ^ d);
+            self.digest = mix64(self.digest ^ d);
         }
         mb.broadcast(ctx, self.digest);
         Status::Running

@@ -21,7 +21,8 @@
 //! * [`provenance`] — the [`RunMeta`] header stamped
 //!   on every `BENCH_*.json` artifact;
 //! * [`trajectory`] — canonical-JSON trajectory rows, the FNV artifact
-//!   hashes, and the `compare` gate behind the `wdr-perf` binary.
+//!   hashes, and the `compare` gate behind the `wdr-perf` binary;
+//! * [`util`] — the workspace's one SplitMix64 and one FNV-1a.
 //!
 //! # Examples
 //!
@@ -49,6 +50,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod table;
 pub mod trajectory;
+pub mod util;
 
 pub use histogram::{Histogram, HistogramSummary};
 pub use provenance::RunMeta;

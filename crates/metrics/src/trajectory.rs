@@ -10,13 +10,13 @@
 //!
 //! Gating is deliberately conservative: only *machine-independent* metrics
 //! (envelope constants `.c_max`, SumSweep `.sweep_fraction`, parallel
-//! `.speedup` ratios, cache `.hit_rate`s) fail the gate; raw timings and
+//! `.speedup` ratios) fail the gate; raw timings and
 //! throughputs are machine-dependent and appear in the delta table as
 //! informational rows. Metrics present in the baseline but absent from the
 //! candidate are *skipped with a warning* rather than failed: a pinned row
 //! unions every experiment ever recorded, while any given run regenerates
 //! only a subset of the artifacts (CI's perf lane runs E8/E9/conformance
-//! but not the serving benchmark, for example).
+//! but not the giant-scale E11, for example).
 
 use crate::provenance::RunMeta;
 use crate::snapshot::write_f64;
@@ -29,22 +29,9 @@ use std::path::Path;
 /// metrics only.
 pub const DEFAULT_THRESHOLD: f64 = 0.15;
 
-/// 64-bit FNV-1a over `bytes` — the artifact fingerprint (no cryptographic
-/// hash is vendored in-tree; collision resistance is not a requirement for
-/// "did this artifact change" bookkeeping).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// [`fnv1a_64`] as fixed-width lowercase hex.
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a_64(bytes))
-}
+// The artifact fingerprint; kept at this path for the standalone
+// `benchmark/` package, which imports it from here.
+pub use crate::util::{fnv1a_64, fnv1a_hex};
 
 /// One line of `perf/trajectory.jsonl`.
 #[derive(Clone, Debug, PartialEq)]
@@ -169,7 +156,7 @@ pub enum Direction {
 
 /// Direction of `name`, by suffix convention.
 pub fn direction(name: &str) -> Direction {
-    const HIGHER: [&str; 11] = [
+    const HIGHER: [&str; 9] = [
         ".speedup",
         ".batch_speedup",
         ".rounds_per_sec",
@@ -179,8 +166,6 @@ pub fn direction(name: &str) -> Direction {
         ".load_ratio",
         ".samples",
         ".count",
-        ".qps",
-        ".hit_rate",
     ];
     if HIGHER.iter().any(|s| name.ends_with(s)) {
         Direction::HigherIsBetter
@@ -191,15 +176,14 @@ pub fn direction(name: &str) -> Direction {
 
 /// Whether `name` participates in the regression gate. Only
 /// machine-independent metrics do: fitted envelope constants, SumSweep
-/// sweep fractions, parallel speedup ratios (including the batch engine's
-/// corpus speedup, `.batch_speedup` — note the `_` keeps it out of the
-/// plain `.speedup` suffix), and cache hit rates.
+/// sweep fractions, and parallel speedup ratios (including the batch
+/// engine's corpus speedup, `.batch_speedup` — note the `_` keeps it out of
+/// the plain `.speedup` suffix).
 pub fn gated(name: &str) -> bool {
     name.ends_with(".c_max")
         || name.ends_with(".sweep_fraction")
         || name.ends_with(".speedup")
         || name.ends_with(".batch_speedup")
-        || name.ends_with(".hit_rate")
 }
 
 /// One metric's baseline/current pair in a comparison.
@@ -491,21 +475,6 @@ pub fn extract_metrics(stem: &str, v: &Value, out: &mut BTreeMap<String, f64>) {
                 copy_num(row, "speedup_vs_brute", &format!("{prefix}.speedup"), out);
             }
         }
-        "BENCH_serve" => {
-            for row in rows.into_iter().flatten() {
-                let (Some(workers), Some(mix)) = (
-                    row.get("workers").and_then(Value::as_u64),
-                    row.get("mix").and_then(Value::as_str),
-                ) else {
-                    continue;
-                };
-                let prefix = format!("e10.w{workers}.{mix}");
-                copy_num(row, "qps", &format!("{prefix}.qps"), out);
-                copy_num(row, "p50_us", &format!("{prefix}.p50_us"), out);
-                copy_num(row, "p99_us", &format!("{prefix}.p99_us"), out);
-                copy_num(row, "hit_rate", &format!("{prefix}.hit_rate"), out);
-            }
-        }
         "BENCH_giant" => {
             for row in rows.into_iter().flatten() {
                 let (Some(family), Some(n), Some(kernel)) = (
@@ -747,14 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn canonical_json_round_trips() {
         let r = row(
             &[
@@ -826,11 +787,11 @@ mod tests {
     /// every experiment; CI lanes run subsets) warn but never fail the gate.
     #[test]
     fn missing_baseline_metric_warns_but_passes() {
-        let base = row(&[("a.c_max", 3.0), ("e10.w8.repeat.hit_rate", 0.97)], true);
+        let base = row(&[("a.c_max", 3.0), ("e12.batch_speedup", 1.2)], true);
         let cur = row(&[("a.c_max", 3.0)], false);
         let report = compare(&base, &cur, DEFAULT_THRESHOLD);
         assert!(report.passed(), "missing metrics must not fail the gate");
-        assert_eq!(report.missing, vec!["e10.w8.repeat.hit_rate".to_string()]);
+        assert_eq!(report.missing, vec!["e12.batch_speedup".to_string()]);
         let md = report.to_markdown();
         assert!(md.contains("WARNING"), "{md}");
         assert!(md.contains("skipped"), "{md}");
@@ -871,22 +832,6 @@ mod tests {
             direction("conformance.quantum|low-D|unit-w.samples"),
             Direction::HigherIsBetter
         );
-
-        let serve = serde_json::from_str(
-            r#"{"rows":[{"workers":4,"mix":"repeat","clients":8,"requests":600,
-                "qps":1200.5,"p50_us":800.0,"p99_us":2600.0,"hit_rate":0.97,"rejected":0}],
-                "metrics":[["e10.scaling.speedup",3.8]]}"#,
-        )
-        .unwrap();
-        extract_metrics("BENCH_serve", &serve, &mut out);
-        assert_eq!(out["e10.w4.repeat.qps"], 1200.5);
-        assert_eq!(out["e10.w4.repeat.hit_rate"], 0.97);
-        assert_eq!(out["e10.scaling.speedup"], 3.8);
-        assert!(gated("e10.w4.repeat.hit_rate"));
-        assert!(gated("e10.scaling.speedup"));
-        assert!(!gated("e10.w4.repeat.qps"), "raw qps is machine-dependent");
-        assert_eq!(direction("e10.w4.repeat.qps"), Direction::HigherIsBetter);
-        assert_eq!(direction("e10.w4.repeat.p99_us"), Direction::LowerIsBetter);
 
         let giant = serde_json::from_str(
             r#"{"rows":[{"family":"power_law","n":1000000,"edges":9899000,

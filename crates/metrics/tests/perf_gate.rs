@@ -115,19 +115,19 @@ fn compare_gates_a_synthetic_regression_and_passes_identical_reruns() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn write_serve_artifact(dir: &Path, hit_rate: f64) {
+fn write_batch_artifact(dir: &Path, batch_speedup: f64) {
     std::fs::create_dir_all(dir).unwrap();
     let json = format!(
         concat!(
-            r#"{{"experiment":"serve_load","#,
+            r#"{{"experiment":"batch_throughput","#,
             r#""meta":{{"schema_version":1,"commit":"selfcheck","#,
             r#""recorded_at_utc":"2026-08-07T00:00:00Z","host_threads":4,"seeds":[9]}},"#,
-            r#""rows":[{{"workers":4,"mix":"repeat","qps":1000.0,"p50_us":700.0,"#,
-            r#""p99_us":2100.0,"hit_rate":{hit_rate}}}]}}"#
+            r#""rows":[{{"lanes":4,"wall_secs":2.0,"scenarios_per_sec":250.0}}],"#,
+            r#""metrics":[["e12.batch_speedup",{batch_speedup}]]}}"#
         ),
-        hit_rate = hit_rate
+        batch_speedup = batch_speedup
     );
-    std::fs::write(dir.join("BENCH_serve.json"), json).unwrap();
+    std::fs::write(dir.join("BENCH_batch.json"), json).unwrap();
 }
 
 fn temp_root(tag: &str) -> std::path::PathBuf {
@@ -147,9 +147,9 @@ fn baseline_metric_missing_from_rerun_warns_but_passes() {
     let traj = traj.to_str().unwrap().to_string();
     let dir = bench_dir.to_str().unwrap().to_string();
 
-    // Baseline carries both the conformance envelope and the serve cache.
+    // Baseline carries both the conformance envelope and the batch speedup.
     write_conformance_artifact(&bench_dir, 3.0);
-    write_serve_artifact(&bench_dir, 0.95);
+    write_batch_artifact(&bench_dir, 1.25);
     let out = wdr_perf(
         &["record", "--dir", &dir, "--trajectory", &traj, "--pin"],
         &root,
@@ -157,7 +157,7 @@ fn baseline_metric_missing_from_rerun_warns_but_passes() {
     assert!(out.status.success(), "record failed: {out:?}");
 
     // The re-run only regenerated the conformance artifact.
-    std::fs::remove_file(bench_dir.join("BENCH_serve.json")).unwrap();
+    std::fs::remove_file(bench_dir.join("BENCH_batch.json")).unwrap();
     let out = wdr_perf(&["compare", "--dir", &dir, "--trajectory", &traj], &root);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
@@ -166,7 +166,7 @@ fn baseline_metric_missing_from_rerun_warns_but_passes() {
     );
     assert!(stdout.contains("WARNING"), "{stdout}");
     assert!(stdout.contains("skipped"), "{stdout}");
-    assert!(stdout.contains("e10.w4.repeat.hit_rate"), "{stdout}");
+    assert!(stdout.contains("e12.batch_speedup"), "{stdout}");
     assert!(stdout.contains("GATE PASS"), "{stdout}");
 
     let _ = std::fs::remove_dir_all(&root);
@@ -245,7 +245,7 @@ fn compare_with_empty_trajectory_is_a_usage_error() {
 }
 
 /// The gate is direction-aware: a *drop* in a higher-is-better metric
-/// (cache hit rate) regresses, while a *rise* of the same magnitude is an
+/// (the batch engine's corpus speedup) regresses, while a *rise* of the same magnitude is an
 /// improvement and passes.
 #[test]
 fn gate_is_direction_aware_for_higher_is_better_metrics() {
@@ -255,32 +255,32 @@ fn gate_is_direction_aware_for_higher_is_better_metrics() {
     let traj = traj.to_str().unwrap().to_string();
     let dir = bench_dir.to_str().unwrap().to_string();
 
-    write_serve_artifact(&bench_dir, 0.90);
+    write_batch_artifact(&bench_dir, 1.25);
     let out = wdr_perf(
         &["record", "--dir", &dir, "--trajectory", &traj, "--pin"],
         &root,
     );
     assert!(out.status.success(), "record failed: {out:?}");
 
-    // hit_rate 0.90 → 0.72 is a 20% drop in a higher-is-better gated
+    // batch_speedup 1.25 → 1.0 is a 20% drop in a higher-is-better gated
     // metric: regression.
-    write_serve_artifact(&bench_dir, 0.72);
+    write_batch_artifact(&bench_dir, 1.0);
     let out = wdr_perf(&["compare", "--dir", &dir, "--trajectory", &traj], &root);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
         !out.status.success(),
-        "20% hit-rate drop must fail the gate:\n{stdout}"
+        "20% batch-speedup drop must fail the gate:\n{stdout}"
     );
     assert!(stdout.contains("REGRESSED"), "{stdout}");
-    assert!(stdout.contains("e10.w4.repeat.hit_rate"), "{stdout}");
+    assert!(stdout.contains("e12.batch_speedup"), "{stdout}");
 
     // The symmetric *improvement* must pass — higher is better.
-    write_serve_artifact(&bench_dir, 0.99);
+    write_batch_artifact(&bench_dir, 1.5);
     let out = wdr_perf(&["compare", "--dir", &dir, "--trajectory", &traj], &root);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
         out.status.success(),
-        "a hit-rate improvement must never fail the gate:\n{stdout}"
+        "a batch-speedup improvement must never fail the gate:\n{stdout}"
     );
     assert!(stdout.contains("GATE PASS"), "{stdout}");
 
