@@ -15,8 +15,8 @@ use congest_graph::{generators, shortest_path};
 use congest_lb::degree::{approx_degree, SymmetricFn};
 use congest_lb::formulas::GadgetDims;
 use congest_lb::gadget::{diameter_gadget, paper_weights};
-use congest_sim::telemetry::{CountingTracer, NullTracer};
-use congest_sim::{primitives, SimConfig, Telemetry};
+use congest_sim::telemetry::NullTracer;
+use congest_sim::{primitives, SimConfig, SimMetrics, Telemetry};
 use quantum_sim::search::{bbht, durr_hoyer_max};
 use quantum_sim::statevector::grover_state;
 use rand::SeedableRng;
@@ -90,8 +90,9 @@ fn quantum_search(c: &mut Criterion) {
 
 /// Tracer overhead on a simulation-heavy workload: the disabled default
 /// (`Telemetry::off`), an attached-but-discarding `NullTracer`, and the
-/// aggregate-counting `CountingTracer` must all land within noise of each
-/// other — the telemetry layer's zero-cost-when-off claim, measured.
+/// registry-counting `SimMetrics` bundle must all land within noise of each
+/// other — the telemetry layer's zero-cost-when-off claim, measured (the E8
+/// `sequential+metrics` row gates the `SimMetrics` comparison).
 fn telemetry_overhead(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let g = generators::erdos_renyi_connected(128, 0.05, 8, &mut rng);
@@ -105,32 +106,11 @@ fn telemetry_overhead(c: &mut Criterion) {
     c.bench_function("bfs_tree_n128_null_tracer", |b| {
         b.iter(|| primitives::bfs_tree(black_box(&g), 0, &null).unwrap())
     });
-    let counting = off
-        .clone()
-        .with_telemetry(Telemetry::new(Arc::new(CountingTracer::default())));
-    c.bench_function("bfs_tree_n128_counting_tracer", |b| {
-        b.iter(|| primitives::bfs_tree(black_box(&g), 0, &counting).unwrap())
-    });
-}
-
-/// Metrics-registry overhead on the same workload: an attached
-/// `SimMetrics` bundle costs a handful of relaxed atomic adds per round
-/// and must land within noise of the bare engine — the registry's
-/// zero-steady-state-cost claim, measured next to `telemetry_overhead`
-/// (the E8 `sequential+metrics` row gates the same comparison).
-fn metrics_overhead(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let g = generators::erdos_renyi_connected(128, 0.05, 8, &mut rng);
-    let off = SimConfig::standard(g.n(), g.max_weight());
-    c.bench_function("bfs_tree_n128_metrics_off", |b| {
-        b.iter(|| primitives::bfs_tree(black_box(&g), 0, &off).unwrap())
-    });
     let registry = wdr_metrics::MetricsRegistry::new();
-    let on = off
-        .clone()
-        .with_metrics(congest_sim::SimMetrics::register(&registry, "bench.sim"));
-    c.bench_function("bfs_tree_n128_metrics_on", |b| {
-        b.iter(|| primitives::bfs_tree(black_box(&g), 0, &on).unwrap())
+    let sim_metrics = Arc::new(SimMetrics::register(&registry, "bench.sim"));
+    let metrics = off.clone().with_telemetry(Telemetry::new(sim_metrics));
+    c.bench_function("bfs_tree_n128_sim_metrics", |b| {
+        b.iter(|| primitives::bfs_tree(black_box(&g), 0, &metrics).unwrap())
     });
 }
 
@@ -152,7 +132,6 @@ criterion_group!(
     congest_simulation,
     quantum_search,
     telemetry_overhead,
-    metrics_overhead,
     lower_bound_kernels
 );
 criterion_main!(benches);

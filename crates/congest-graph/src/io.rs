@@ -64,6 +64,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::graph::{BuildGraphError, NodeId, Weight, WeightedGraph};
@@ -260,10 +261,18 @@ impl GraphHeader {
 /// is self-describing); [`WeightedGraph::open_mmap`] trusts it, giving
 /// `O(header)` loads.
 ///
+/// The write is atomic: the bytes go to a sibling temp file, which is
+/// synced and then renamed over `path`. Rewriting a path therefore never
+/// truncates an inode that a live mapping reads; readers keep the old
+/// file until they reopen.
+///
 /// # Errors
 ///
-/// Any filesystem error, as [`GraphIoError::Io`].
+/// Any filesystem error, as [`GraphIoError::Io`]; the temp file is removed.
 pub fn write_graph(g: &WeightedGraph, path: &Path) -> Result<(), GraphIoError> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let unique = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}-{unique}.tmp", std::process::id()));
     let header = GraphHeader {
         n: g.n() as u64,
         m: g.m() as u64,
@@ -271,19 +280,27 @@ pub fn write_graph(g: &WeightedGraph, path: &Path) -> Result<(), GraphIoError> {
         digest: g.recompute_digest().0,
         entries: g.csr_targets().len() as u64,
     };
-    let mut out = BufWriter::new(File::create(path)?);
-    out.write_all(&header.to_bytes())?;
-    for &x in g.csr_offsets() {
-        out.write_all(&(x as u64).to_le_bytes())?;
+    let write = || -> Result<(), GraphIoError> {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        out.write_all(&header.to_bytes())?;
+        for &x in g.csr_offsets() {
+            out.write_all(&(x as u64).to_le_bytes())?;
+        }
+        for &x in g.csr_targets() {
+            out.write_all(&(x as u64).to_le_bytes())?;
+        }
+        for &x in g.csr_weights() {
+            out.write_all(&x.to_le_bytes())?;
+        }
+        out.flush()?;
+        out.get_ref().sync_all()?;
+        Ok(std::fs::rename(&tmp, path)?)
+    };
+    let written = write();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-    for &x in g.csr_targets() {
-        out.write_all(&(x as u64).to_le_bytes())?;
-    }
-    for &x in g.csr_weights() {
-        out.write_all(&x.to_le_bytes())?;
-    }
-    out.flush()?;
-    Ok(())
+    written
 }
 
 /// Reads just the 64-byte header of a graph file.
@@ -948,8 +965,10 @@ mod tests {
     use super::*;
     use crate::generators;
 
+    /// A scratch path unique to this process (concurrent `cargo test` runs
+    /// never share a file); every test passes its own name.
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("congest-graph-io-tests");
+        let dir = std::env::temp_dir().join(format!("congest-graph-io-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create tmp dir");
         dir.join(name)
     }

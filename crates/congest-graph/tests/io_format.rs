@@ -129,3 +129,20 @@ fn appended_garbage_is_rejected() {
     let err = WeightedGraph::open_mmap(&path).unwrap_err();
     assert!(matches!(err, GraphIoError::Truncated { .. }), "got {err:?}");
 }
+
+/// Rewriting a path that a live mapping reads replaces the file instead of
+/// truncating the mapped inode: the old mapping still sees the old graph,
+/// and a fresh open sees the new one.
+#[test]
+fn rewrite_leaves_live_mapping_intact() {
+    let a = generators::grid(4, 5, 3);
+    let b = generators::grid(9, 11, 7);
+    let path = tmp("rewrite.wdrg");
+    write_graph(&a, &path).unwrap();
+    let old = WeightedGraph::open_mmap(&path).unwrap();
+    assert_eq!(old.storage_kind(), StorageKind::Mapped);
+    write_graph(&b, &path).unwrap();
+    assert_eq!(old, a, "the live mapping must keep reading graph A");
+    assert_eq!(old.digest(), a.digest());
+    assert_eq!(WeightedGraph::open_mmap(&path).unwrap(), b);
+}

@@ -29,10 +29,10 @@
 //!   a separate [`ResilienceBudget`] so headline round counts stay
 //!   comparable to the lossless model — with an ack/retransmit
 //!   [`reliable`] layer to mask the losses;
-//! * feeds a live **[`metrics`]** bundle ([`SimConfig::with_metrics`]):
-//!   cross-run counters and per-round histograms updated with a few
-//!   relaxed atomic adds per round, cheap enough to leave attached in
-//!   benchmark runs (the `wdr-perf` trajectory records them).
+//! * counts into a metrics registry through the **[`metrics`]** bundle
+//!   [`SimMetrics`], a [`Tracer`] attached with
+//!   [`SimConfig::with_telemetry`]: cross-run counters and per-round
+//!   histograms updated with a few relaxed atomic adds per round.
 //!
 //! # Examples
 //!

@@ -1,13 +1,11 @@
-//! Aggregate metrics for the round engine, the fault oracle, and the
-//! reliable layer.
+//! Aggregate metrics for the round engine and the fault oracle.
 //!
 //! [`SimMetrics`] is a bundle of pre-registered [`wdr_metrics`] handles
-//! attached to a [`crate::SimConfig`] via
-//! [`crate::SimConfig::with_metrics`]. Registration happens once, up
-//! front; the per-round updates are single relaxed atomic operations with
-//! zero heap traffic (pinned by `tests/zero_alloc.rs`), so the bundle is
-//! cheap enough to stay attached in every run — unlike the event-level
-//! [`crate::telemetry`] tracers, which construct per-event values.
+//! that is itself a [`Tracer`]: attach it like any other sink, with
+//! `SimConfig::with_telemetry(Telemetry::new(Arc::new(metrics)))`.
+//! Registration happens once, up front; every per-round update is a
+//! relaxed atomic operation with zero heap traffic (pinned by
+//! `tests/zero_alloc.rs`), so the bundle stays cheap in benchmark runs.
 //!
 //! Counters are exact and order-independent, and the per-round histograms
 //! merge with index-ordered integer adds, so a metrics-on parallel run
@@ -15,36 +13,42 @@
 //! *including* the final metric values.
 
 use crate::faults::DropReason;
+use crate::telemetry::{TraceEvent, Tracer};
 use wdr_metrics::{Counter, Histogram, MetricsRegistry};
 
-/// Pre-registered handles for every simulator-level metric.
+/// Pre-registered handles for every simulator-level metric, fed by the
+/// [`TraceEvent`] stream.
 ///
 /// Names are `{prefix}.{metric}` (prefix conventionally `"sim"`):
 ///
-/// | metric | kind | meaning |
+/// | metric | kind | event |
 /// |---|---|---|
-/// | `rounds` | counter | rounds executed |
-/// | `messages` | counter | messages delivered |
-/// | `bits` | counter | bits delivered |
-/// | `messages_per_round` | histogram | per-round delivered messages |
-/// | `bits_per_round` | histogram | per-round delivered bits |
-/// | `saturated_channels` | counter | channels that ended a run ≥ 90% of budget |
-/// | `dropped.random` … | counter | fault-oracle drops, by [`DropReason`] |
-/// | `crashed_node_rounds` | counter | `(node, round)` pairs spent crashed |
-/// | `reliable.retransmissions` … | counter | reliable-layer overhead |
+/// | `rounds` | counter | `RoundCompleted` |
+/// | `padded_rounds` | counter | `PadRounds` (charged, not simulated) |
+/// | `messages` | counter | `RoundCompleted` messages |
+/// | `bits` | counter | `RoundCompleted` bits |
+/// | `messages_per_round` | histogram | `RoundCompleted` messages |
+/// | `bits_per_round` | histogram | `RoundCompleted` bits |
+/// | `saturated_channels` | counter | `ChannelSaturation` (≥ 90% of budget) |
+/// | `dropped.random` … | counter | `MessageDropped` by [`DropReason`], `LinkThrottled` |
+///
+/// `rounds + padded_rounds` equals the `RoundStats::rounds` of the runs
+/// the bundle observed.
 #[derive(Clone, Debug)]
 pub struct SimMetrics {
     /// Rounds executed across every attached run.
     pub rounds: Counter,
-    /// Messages delivered.
+    /// Rounds charged to a schedule without being simulated.
+    pub padded_rounds: Counter,
+    /// Messages sent.
     pub messages: Counter,
-    /// Bits delivered.
+    /// Bits sent.
     pub bits: Counter,
-    /// Distribution of messages delivered per round.
+    /// Distribution of messages sent per round.
     pub messages_per_round: Histogram,
-    /// Distribution of bits delivered per round.
+    /// Distribution of bits sent per round.
     pub bits_per_round: Histogram,
-    /// Channels whose peak round load reached ≥ 90% of the bit budget.
+    /// Channel-rounds whose load reached ≥ 90% of the bit budget.
     pub saturated_channels: Counter,
     /// Messages dropped by the background loss process.
     pub dropped_random: Counter,
@@ -54,18 +58,6 @@ pub struct SimMetrics {
     pub dropped_throttled: Counter,
     /// Messages dropped because the receiver was crashed.
     pub dropped_receiver_crashed: Counter,
-    /// `(node, round)` pairs in which a node was crashed.
-    pub crashed_node_rounds: Counter,
-    /// Data frames re-sent by the reliable layer after an ack timeout.
-    pub retransmissions: Counter,
-    /// Acknowledgement frames sent by the reliable layer.
-    pub acks: Counter,
-    /// Data frames the reliable layer abandoned after exhausting retries.
-    pub gave_up: Counter,
-    /// Duplicate data frames the reliable layer's dedup filter discarded.
-    pub duplicates_filtered: Counter,
-    /// Rounds of exponential-backoff delay scheduled before retransmissions.
-    pub backoff_rounds: Counter,
 }
 
 impl SimMetrics {
@@ -75,6 +67,7 @@ impl SimMetrics {
         let name = |metric: &str| format!("{prefix}.{metric}");
         SimMetrics {
             rounds: registry.counter(&name("rounds")),
+            padded_rounds: registry.counter(&name("padded_rounds")),
             messages: registry.counter(&name("messages")),
             bits: registry.counter(&name("bits")),
             messages_per_round: registry.histogram(&name("messages_per_round")),
@@ -84,74 +77,98 @@ impl SimMetrics {
             dropped_burst: registry.counter(&name("dropped.burst")),
             dropped_throttled: registry.counter(&name("dropped.throttled")),
             dropped_receiver_crashed: registry.counter(&name("dropped.receiver_crashed")),
-            crashed_node_rounds: registry.counter(&name("crashed_node_rounds")),
-            retransmissions: registry.counter(&name("reliable.retransmissions")),
-            acks: registry.counter(&name("reliable.acks")),
-            gave_up: registry.counter(&name("reliable.gave_up")),
-            duplicates_filtered: registry.counter(&name("reliable.duplicates_filtered")),
-            backoff_rounds: registry.counter(&name("reliable.backoff_rounds")),
         }
     }
+}
 
-    /// One dropped message, attributed to its [`DropReason`] counter.
-    pub(crate) fn record_drop(&self, reason: DropReason) {
-        match reason {
-            DropReason::Random => self.dropped_random.inc(),
-            DropReason::Burst => self.dropped_burst.inc(),
-            DropReason::Throttled => self.dropped_throttled.inc(),
-            DropReason::ReceiverCrashed => self.dropped_receiver_crashed.inc(),
+impl Tracer for SimMetrics {
+    fn record(&self, event: &TraceEvent) {
+        match event {
+            TraceEvent::RoundCompleted { messages, bits, .. } => {
+                self.rounds.inc();
+                self.messages.add(*messages);
+                self.bits.add(*bits);
+                self.messages_per_round.observe(*messages);
+                self.bits_per_round.observe(*bits);
+            }
+            TraceEvent::PadRounds { rounds, .. } => self.padded_rounds.add(*rounds as u64),
+            TraceEvent::MessageDropped { reason, .. } => match reason {
+                DropReason::Random => self.dropped_random.inc(),
+                DropReason::Burst => self.dropped_burst.inc(),
+                DropReason::Throttled => self.dropped_throttled.inc(),
+                DropReason::ReceiverCrashed => self.dropped_receiver_crashed.inc(),
+            },
+            TraceEvent::LinkThrottled { .. } => self.dropped_throttled.inc(),
+            TraceEvent::ChannelSaturation { .. } => self.saturated_channels.inc(),
+            _ => {}
         }
-    }
-
-    /// End-of-round bookkeeping: totals plus the per-round distributions.
-    pub(crate) fn record_round(&self, messages: u64, bits: u64) {
-        self.rounds.inc();
-        self.messages.add(messages);
-        self.bits.add(bits);
-        self.messages_per_round.observe(messages);
-        self.bits_per_round.observe(bits);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use DropReason::{Burst, Random, ReceiverCrashed};
+
+    fn round(messages: u64, bits: u64) -> TraceEvent {
+        TraceEvent::RoundCompleted {
+            round: 1,
+            messages,
+            bits,
+            max_channel_bits: 0,
+        }
+    }
 
     #[test]
     fn register_is_idempotent_across_bundles() {
         let registry = MetricsRegistry::new();
         let a = SimMetrics::register(&registry, "sim");
         let b = SimMetrics::register(&registry, "sim");
-        a.rounds.inc();
-        b.rounds.inc();
+        a.record(&round(0, 0));
+        b.record(&round(0, 0));
         assert_eq!(a.rounds.get(), 2);
         assert_eq!(registry.snapshot().flatten()["sim.rounds"], 2.0);
     }
 
     #[test]
-    fn drops_route_to_their_reason_counter() {
+    fn events_feed_their_instruments() {
         let registry = MetricsRegistry::new();
         let m = SimMetrics::register(&registry, "sim");
-        m.record_drop(DropReason::Random);
-        m.record_drop(DropReason::Burst);
-        m.record_drop(DropReason::Burst);
-        m.record_drop(DropReason::Throttled);
-        m.record_drop(DropReason::ReceiverCrashed);
-        assert_eq!(m.dropped_random.get(), 1);
-        assert_eq!(m.dropped_burst.get(), 2);
-        assert_eq!(m.dropped_throttled.get(), 1);
+        for reason in [Random, Burst, Burst, ReceiverCrashed] {
+            m.record(&TraceEvent::MessageDropped {
+                round: 1,
+                from: 0,
+                to: 1,
+                bits: 8,
+                reason,
+            });
+        }
+        m.record(&TraceEvent::LinkThrottled {
+            round: 1,
+            from: 0,
+            to: 1,
+            budget_bits: 4,
+        });
+        m.record(&TraceEvent::PhaseStart { name: "p".into() });
+        m.record(&round(10, 300));
+        m.record(&round(2, 40));
+        m.record(&TraceEvent::PadRounds {
+            rounds: 4,
+            reason: "pad".into(),
+        });
+        m.record(&TraceEvent::ChannelSaturation {
+            round: 1,
+            from: 0,
+            to: 1,
+            bits: 30,
+            budget_bits: 32,
+        });
+        let drops = [&m.dropped_random, &m.dropped_burst, &m.dropped_throttled];
+        assert_eq!(drops.map(Counter::get), [1, 2, 1]);
         assert_eq!(m.dropped_receiver_crashed.get(), 1);
-    }
-
-    #[test]
-    fn round_recording_feeds_totals_and_distributions() {
-        let registry = MetricsRegistry::new();
-        let m = SimMetrics::register(&registry, "sim");
-        m.record_round(10, 300);
-        m.record_round(2, 40);
-        assert_eq!(m.rounds.get(), 2);
-        assert_eq!(m.messages.get(), 12);
-        assert_eq!(m.bits.get(), 340);
+        assert_eq!((m.rounds.get(), m.padded_rounds.get()), (2, 4));
+        assert_eq!((m.messages.get(), m.bits.get()), (12, 340));
+        assert_eq!(m.saturated_channels.get(), 1);
         assert_eq!(m.bits_per_round.count(), 2);
         assert_eq!(m.bits_per_round.max(), 300);
     }

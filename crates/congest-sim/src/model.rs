@@ -249,7 +249,8 @@ pub struct SimConfig {
     /// of each run. Needs no message log.
     pub profile_channels: bool,
     /// Telemetry sink; disabled ([`Telemetry::off`]) by default, in which
-    /// case no events are constructed at all.
+    /// case no events are constructed at all. Registry counters come from
+    /// attaching a [`crate::SimMetrics`] bundle here.
     pub telemetry: Telemetry,
     /// Fault-injection plan (see [`crate::faults`]); `None` (the default)
     /// runs the ideal lossless network. A plan with all knobs at zero is
@@ -260,13 +261,6 @@ pub struct SimConfig {
     /// Round-engine execution mode (see [`Parallelism`]); sequential by
     /// default.
     pub parallelism: Parallelism,
-    /// Live metrics bundle (see [`crate::metrics::SimMetrics`]); `None`
-    /// (the default) records nothing. Unlike [`Self::telemetry`], the
-    /// bundle is updated with a handful of relaxed atomic adds per round —
-    /// no per-event values are constructed — so it is cheap enough to stay
-    /// attached in benchmark runs. Shared behind an [`Arc`] so cloning a
-    /// config between phases keeps accumulating into the same counters.
-    pub metrics: Option<Arc<crate::metrics::SimMetrics>>,
 }
 
 impl SimConfig {
@@ -281,7 +275,6 @@ impl SimConfig {
             telemetry: Telemetry::off(),
             faults: None,
             parallelism: Parallelism::Sequential,
-            metrics: None,
         }
     }
 
@@ -326,13 +319,6 @@ impl SimConfig {
     /// [`Parallelism`].
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> SimConfig {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Attaches a live metrics bundle (builder style); see
-    /// [`crate::metrics::SimMetrics`].
-    pub fn with_metrics(mut self, metrics: crate::metrics::SimMetrics) -> SimConfig {
-        self.metrics = Some(Arc::new(metrics));
         self
     }
 }

@@ -366,9 +366,6 @@ impl<P: NodeProgram> Network<P> {
                         self.stats.resilience.dropped_bits += u64::from(bits);
                         self.stats.resilience.throttled_messages += 1;
                         self.lost_from[to].insert(from);
-                        if let Some(m) = &self.config.metrics {
-                            m.record_drop(DropReason::Throttled);
-                        }
                         self.config
                             .telemetry
                             .emit_with(|| TraceEvent::LinkThrottled {
@@ -384,9 +381,6 @@ impl<P: NodeProgram> Network<P> {
                     self.stats.resilience.dropped_messages += 1;
                     self.stats.resilience.dropped_bits += u64::from(bits);
                     self.lost_from[to].insert(from);
-                    if let Some(m) = &self.config.metrics {
-                        m.record_drop(reason);
-                    }
                     self.config
                         .telemetry
                         .emit_with(|| TraceEvent::MessageDropped {
@@ -402,9 +396,6 @@ impl<P: NodeProgram> Network<P> {
                     self.stats.resilience.dropped_messages += 1;
                     self.stats.resilience.dropped_bits += u64::from(bits);
                     self.lost_from[to].insert(from);
-                    if let Some(m) = &self.config.metrics {
-                        m.record_drop(DropReason::ReceiverCrashed);
-                    }
                     self.config
                         .telemetry
                         .emit_with(|| TraceEvent::MessageDropped {
@@ -436,9 +427,6 @@ impl<P: NodeProgram> Network<P> {
             // Announce channels at ≥90% of budget: the congestion frontier
             // an algorithm designer actually tunes against.
             if u64::from(b) * 10 >= u64::from(budget) * 9 {
-                if let Some(m) = &self.config.metrics {
-                    m.saturated_channels.inc();
-                }
                 self.config
                     .telemetry
                     .emit_with(|| TraceEvent::ChannelSaturation {
@@ -507,9 +495,6 @@ impl<P: NodeProgram> Network<P> {
                 if crashed {
                     self.ever_crashed[v] = true;
                     self.stats.resilience.crashed_node_rounds += 1;
-                    if let Some(m) = &self.config.metrics {
-                        m.crashed_node_rounds.inc();
-                    }
                 }
             }
         }
@@ -545,9 +530,6 @@ impl<P: NodeProgram> Network<P> {
         let messages = self.stats.messages - messages_before;
         let bits = self.stats.bits - bits_before;
         let max_channel_bits = self.round_peak;
-        if let Some(m) = &self.config.metrics {
-            m.record_round(messages, bits);
-        }
         self.config
             .telemetry
             .emit_with(|| TraceEvent::RoundCompleted {

@@ -339,7 +339,6 @@ pub fn run_reliable_phase<P: NodeProgram>(
     mut make: impl FnMut(NodeId, &NodeCtx) -> P,
 ) -> Result<ReliableRun<P::Output>, SimError> {
     let telemetry = config.telemetry.clone();
-    let metrics = config.metrics.clone();
     let span = telemetry.span(name);
     let mut config = config.clone();
     config.bandwidth = reliable_bandwidth(config.bandwidth);
@@ -355,27 +354,12 @@ pub fn run_reliable_phase<P: NodeProgram>(
         }
     };
     let mut stats = net.stats().clone();
-    let mut reliable_totals = ReliableStats::default();
     let mut outputs = Vec::with_capacity(tagged.len());
     for ((out, node_stats), quality) in tagged {
         stats.resilience.retransmissions += node_stats.retransmissions;
         stats.resilience.ack_messages += node_stats.acks_sent;
         stats.resilience.gave_up += node_stats.gave_up;
-        reliable_totals.retransmissions += node_stats.retransmissions;
-        reliable_totals.acks_sent += node_stats.acks_sent;
-        reliable_totals.gave_up += node_stats.gave_up;
-        reliable_totals.duplicates_filtered += node_stats.duplicates_filtered;
-        reliable_totals.backoff_rounds += node_stats.backoff_rounds;
         outputs.push((out, quality));
-    }
-    if let Some(metrics) = &metrics {
-        metrics.retransmissions.add(reliable_totals.retransmissions);
-        metrics.acks.add(reliable_totals.acks_sent);
-        metrics.gave_up.add(reliable_totals.gave_up);
-        metrics
-            .duplicates_filtered
-            .add(reliable_totals.duplicates_filtered);
-        metrics.backoff_rounds.add(reliable_totals.backoff_rounds);
     }
     span.end();
     Ok((outputs, stats))
@@ -511,15 +495,17 @@ mod tests {
     #[test]
     fn metrics_bundle_sees_drops_and_recovery_traffic() {
         use crate::metrics::SimMetrics;
+        use crate::telemetry::Telemetry;
+        use std::sync::Arc;
         use wdr_metrics::MetricsRegistry;
 
         let registry = MetricsRegistry::new();
-        let metrics = SimMetrics::register(&registry, "sim");
+        let metrics = Arc::new(SimMetrics::register(&registry, "sim"));
         let g = generators::grid(3, 3, 1);
         let cfg = SimConfig::standard(9, 1)
             .with_max_rounds(2_000)
             .with_faults(FaultPlan::new(20_240_805).with_drop_rate(0.3))
-            .with_metrics(metrics.clone());
+            .with_telemetry(Telemetry::new(metrics.clone()));
         let (_, stats) =
             run_reliable_phase(&g, 0, &cfg, "flood", ReliablePolicy::default(), |_, _| {
                 Flood::fresh()
@@ -535,18 +521,30 @@ mod tests {
             stats.resilience.dropped_messages,
             "every loss here comes from the background drop process"
         );
-        assert_eq!(
-            metrics.retransmissions.get(),
-            stats.resilience.retransmissions
-        );
-        assert_eq!(metrics.acks.get(), stats.resilience.ack_messages);
-        assert!(metrics.retransmissions.get() > 0, "losses were recovered");
+        // Recovery traffic is accounted in the run's resilience budget.
         assert!(
-            metrics.backoff_rounds.get() >= metrics.retransmissions.get(),
-            "each retransmission waited at least one backoff round"
+            stats.resilience.retransmissions > 0,
+            "losses were recovered"
         );
+        assert!(stats.resilience.ack_messages > 0);
         assert_eq!(metrics.bits_per_round.count(), stats.rounds as u64);
         assert!(metrics.bits_per_round.max() <= stats.bits);
+
+        // The per-node counters no event carries stay on each node's output.
+        let bandwidth = reliable_bandwidth(cfg.bandwidth);
+        let raw = SimConfig { bandwidth, ..cfg };
+        let policy = ReliablePolicy::default();
+        let mut net = Network::new(&g, 0, raw, |_, _| Reliable::new(Flood::fresh(), policy));
+        let per_node: Vec<ReliableStats> = net.run().unwrap().into_iter().map(|o| o.1).collect();
+        let total = |f: fn(&ReliableStats) -> u64| per_node.iter().map(f).sum::<u64>();
+        assert_eq!(
+            total(|s| s.retransmissions),
+            stats.resilience.retransmissions
+        );
+        assert!(
+            total(|s| s.backoff_rounds) >= total(|s| s.retransmissions),
+            "each retransmission waited at least one backoff round"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`NullTracer`] — discards everything (the default; a disabled
 //!   [`Telemetry`] handle never even constructs events);
-//! * [`CountingTracer`] — lock-free counters, for overhead-free assertions;
+//! * [`crate::SimMetrics`] — registry counters and per-round histograms;
 //! * [`CollectingTracer`] — buffers events in memory, for tests and for
 //!   in-process analysis via [`build_phase_tree`];
 //! * [`JsonlTracer`] — writes one JSON object per line, the interchange
@@ -71,7 +71,6 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One structured event in a simulation trace.
@@ -330,118 +329,6 @@ pub struct NullTracer;
 
 impl Tracer for NullTracer {
     fn record(&self, _event: &TraceEvent) {}
-}
-
-/// Atomic counters over the event stream — cheap enough to leave on.
-#[derive(Debug, Default)]
-pub struct CountingTracer {
-    events: AtomicU64,
-    phases_started: AtomicU64,
-    phases_ended: AtomicU64,
-    rounds: AtomicU64,
-    padded_rounds: AtomicU64,
-    messages: AtomicU64,
-    bits: AtomicU64,
-    saturated_channel_rounds: AtomicU64,
-    grover_iterations: AtomicU64,
-    dropped_messages: AtomicU64,
-    node_crashes: AtomicU64,
-    throttled_messages: AtomicU64,
-}
-
-/// A point-in-time copy of a [`CountingTracer`]'s counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct CountingSnapshot {
-    /// Total events recorded.
-    pub events: u64,
-    /// `PhaseStart` events.
-    pub phases_started: u64,
-    /// `PhaseEnd` events.
-    pub phases_ended: u64,
-    /// Rounds completed (count of `RoundCompleted` events).
-    pub rounds: u64,
-    /// Rounds charged via `PadRounds` events.
-    pub padded_rounds: u64,
-    /// Messages summed over `RoundCompleted` events.
-    pub messages: u64,
-    /// Bits summed over `RoundCompleted` events.
-    pub bits: u64,
-    /// `ChannelSaturation` events.
-    pub saturated_channel_rounds: u64,
-    /// Grover iterations summed over `GroverIteration` events.
-    pub grover_iterations: u64,
-    /// Messages the fault model discarded (`MessageDropped` plus
-    /// `LinkThrottled` events).
-    pub dropped_messages: u64,
-    /// `NodeCrashed` events.
-    pub node_crashes: u64,
-    /// `LinkThrottled` events.
-    pub throttled_messages: u64,
-}
-
-impl CountingTracer {
-    /// Reads all counters.
-    pub fn snapshot(&self) -> CountingSnapshot {
-        CountingSnapshot {
-            events: self.events.load(Ordering::Relaxed),
-            phases_started: self.phases_started.load(Ordering::Relaxed),
-            phases_ended: self.phases_ended.load(Ordering::Relaxed),
-            rounds: self.rounds.load(Ordering::Relaxed),
-            padded_rounds: self.padded_rounds.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
-            bits: self.bits.load(Ordering::Relaxed),
-            saturated_channel_rounds: self.saturated_channel_rounds.load(Ordering::Relaxed),
-            grover_iterations: self.grover_iterations.load(Ordering::Relaxed),
-            dropped_messages: self.dropped_messages.load(Ordering::Relaxed),
-            node_crashes: self.node_crashes.load(Ordering::Relaxed),
-            throttled_messages: self.throttled_messages.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Tracer for CountingTracer {
-    fn record(&self, event: &TraceEvent) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        match event {
-            TraceEvent::PhaseStart { .. } => {
-                self.phases_started.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::PhaseEnd { .. } => {
-                self.phases_ended.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::RoundCompleted { messages, bits, .. } => {
-                self.rounds.fetch_add(1, Ordering::Relaxed);
-                self.messages.fetch_add(*messages, Ordering::Relaxed);
-                self.bits.fetch_add(*bits, Ordering::Relaxed);
-            }
-            TraceEvent::PadRounds { rounds, .. } => {
-                self.padded_rounds
-                    .fetch_add(*rounds as u64, Ordering::Relaxed);
-            }
-            TraceEvent::ChannelSaturation { .. } => {
-                self.saturated_channel_rounds
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::GroverIteration { iterations, .. } => {
-                self.grover_iterations
-                    .fetch_add(*iterations, Ordering::Relaxed);
-            }
-            TraceEvent::MessageDropped { .. } => {
-                self.dropped_messages.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::NodeCrashed { .. } => {
-                self.node_crashes.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::LinkThrottled { .. } => {
-                self.dropped_messages.fetch_add(1, Ordering::Relaxed);
-                self.throttled_messages.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::ChannelProfile { .. }
-            | TraceEvent::NodeRecovered { .. }
-            | TraceEvent::MessageLogTruncated { .. }
-            | TraceEvent::SimFailed { .. } => {}
-        }
-    }
 }
 
 /// Buffers every event in memory, in order.
@@ -831,43 +718,8 @@ mod tests {
     }
 
     #[test]
-    fn counting_tracer_totals() {
-        let tracer = CountingTracer::default();
-        tracer.record(&TraceEvent::PhaseStart { name: "p".into() });
-        tracer.record(&round(3, 30, 10));
-        tracer.record(&round(2, 20, 12));
-        tracer.record(&TraceEvent::PadRounds {
-            rounds: 4,
-            reason: "pad".into(),
-        });
-        tracer.record(&TraceEvent::ChannelSaturation {
-            round: 1,
-            from: 0,
-            to: 1,
-            bits: 30,
-            budget_bits: 32,
-        });
-        tracer.record(&TraceEvent::GroverIteration {
-            label: "s".into(),
-            iterations: 17,
-            oracle_queries: 17,
-        });
-        tracer.record(&TraceEvent::PhaseEnd { name: "p".into() });
-        let snap = tracer.snapshot();
-        assert_eq!(snap.events, 7);
-        assert_eq!(snap.phases_started, 1);
-        assert_eq!(snap.phases_ended, 1);
-        assert_eq!(snap.rounds, 2);
-        assert_eq!(snap.padded_rounds, 4);
-        assert_eq!(snap.messages, 5);
-        assert_eq!(snap.bits, 50);
-        assert_eq!(snap.saturated_channel_rounds, 1);
-        assert_eq!(snap.grover_iterations, 17);
-    }
-
-    #[test]
     fn jsonl_tracer_writes_one_event_per_line() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
 
         // A shared Vec<u8> sink.
         #[derive(Clone, Default)]

@@ -1,17 +1,19 @@
 //! Integration tests of the telemetry layer: tracer equivalence (tracing
-//! must never change what the simulator computes or charges) and the JSONL
+//! must never change what the simulator computes or charges, and the
+//! `SimMetrics` sink counts exactly what it charges) and the JSONL
 //! interchange format.
 
 mod common;
 
 use common::SharedBuf;
 use congest_graph::{generators, WeightedGraph};
-use congest_sim::telemetry::{CountingTracer, JsonlTracer, Tracer};
-use congest_sim::{primitives, SimConfig, Telemetry};
+use congest_sim::telemetry::{JsonlTracer, Tracer};
+use congest_sim::{primitives, FaultPlan, SimConfig, SimError, SimMetrics, Telemetry};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
+use wdr_metrics::MetricsRegistry;
 
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (4usize..20, any::<u64>()).prop_map(|(n, seed)| {
@@ -27,29 +29,62 @@ fn cfg(g: &WeightedGraph) -> SimConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A run under the default (off) telemetry and a run under a
-    /// `CountingTracer` produce identical outputs and identical
-    /// `RoundStats`, and the tracer's aggregate counters agree with the
+    /// Attaching a `SimMetrics` bundle changes neither outputs nor
+    /// `RoundStats`, with or without a fault plan (drops, one throttled
+    /// link, one crash window), and the bundle's counters agree with the
     /// stats the simulator reports.
     #[test]
-    fn counting_tracer_is_an_observer(g in arb_graph(), leader_pick in any::<usize>()) {
+    fn sim_metrics_is_an_observer_under_faults(
+        g in arb_graph(),
+        leader_pick in any::<usize>(),
+        faulted in any::<bool>(),
+        fault_seed in any::<u64>(),
+        drop_rate in 0.0f64..0.3,
+        throttle_bits in 0u32..2,
+        crash in (any::<usize>(), 1usize..6, 1usize..8),
+    ) {
         let leader = leader_pick % g.n();
+        let mut config = cfg(&g).with_max_rounds(4 * g.n() + 32);
+        if faulted {
+            let (crash_pick, crash_from, crash_len) = crash;
+            let (first_hop, _) = g.neighbors(leader).next().expect("connected graph");
+            config = config.with_faults(
+                FaultPlan::new(fault_seed)
+                    .with_drop_rate(drop_rate)
+                    .with_throttle(leader, first_hop, throttle_bits)
+                    .with_crash(crash_pick % g.n(), crash_from, Some(crash_from + crash_len)),
+            );
+        }
+        let plain = primitives::bfs_tree(&g, leader, &config);
 
-        let (tree_off, stats_off) = primitives::bfs_tree(&g, leader, &cfg(&g)).unwrap();
+        let registry = MetricsRegistry::new();
+        let metrics = Arc::new(SimMetrics::register(&registry, "sim"));
+        let traced_cfg = config.with_telemetry(Telemetry::new(metrics.clone()));
+        let traced = primitives::bfs_tree(&g, leader, &traced_cfg);
+        prop_assert_eq!(&plain, &traced);
 
-        let counting = Arc::new(CountingTracer::default());
-        let traced_cfg = cfg(&g).with_telemetry(Telemetry::new(counting.clone()));
-        let (tree_on, stats_on) = primitives::bfs_tree(&g, leader, &traced_cfg).unwrap();
-
-        prop_assert_eq!(tree_off, tree_on);
-        prop_assert_eq!(&stats_off, &stats_on);
-
-        let snap = counting.snapshot();
-        prop_assert_eq!(snap.rounds + snap.padded_rounds, stats_on.rounds as u64);
-        prop_assert_eq!(snap.messages, stats_on.messages);
-        prop_assert_eq!(snap.bits, stats_on.bits);
-        prop_assert_eq!(snap.phases_started, 1);
-        prop_assert_eq!(snap.phases_ended, 1);
+        match traced {
+            Ok((_, stats)) => {
+                let m = registry.snapshot().flatten();
+                let dropped: f64 =
+                    m.iter().filter(|(k, _)| k.starts_with("sim.dropped.")).map(|(_, v)| v).sum();
+                prop_assert_eq!(m["sim.rounds"] + m["sim.padded_rounds"], stats.rounds as f64);
+                prop_assert_eq!(m["sim.messages"], stats.messages as f64);
+                prop_assert_eq!(m["sim.bits"], stats.bits as f64);
+                prop_assert_eq!(dropped, stats.resilience.dropped_messages as f64);
+                prop_assert_eq!(
+                    m["sim.dropped.throttled"],
+                    stats.resilience.throttled_messages as f64
+                );
+            }
+            // A node cut off by the faults never joins: the round cap fires
+            // after every executed round was observed.
+            Err(SimError::RoundLimitExceeded { rounds_executed, .. }) => {
+                prop_assert!(faulted);
+                prop_assert_eq!(metrics.rounds.get(), rounds_executed as u64);
+            }
+            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+        }
     }
 
     /// Enabling the streaming channel profile changes neither outputs nor

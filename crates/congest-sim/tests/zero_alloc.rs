@@ -1,7 +1,7 @@
 //! The round engine's zero-allocation claim, measured: once the arenas have
 //! warmed up (a handful of rounds grows every inbox, outbox, and scratch
 //! buffer to its steady-state capacity), `Network::step` must not touch the
-//! heap at all — **including with a live [`SimMetrics`] bundle attached**,
+//! heap at all — **including with a [`SimMetrics`] tracer attached**,
 //! whose per-round updates are relaxed atomic adds on pre-registered
 //! handles. A counting global allocator makes any regression — a stray
 //! `clone`, a rebuilt `Vec`, a formatted string — an immediate test failure
@@ -16,10 +16,11 @@ use std::alloc::System;
 
 use congest_graph::{generators, NodeId};
 use congest_sim::{
-    Bandwidth, Mailbox, Network, NodeCtx, NodeProgram, SimConfig, SimMetrics, Status,
+    Bandwidth, Mailbox, Network, NodeCtx, NodeProgram, SimConfig, SimMetrics, Status, Telemetry,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 use wdr_metrics::heap::{heap_ops, track_current_thread, CountingAlloc};
 use wdr_metrics::util::mix64;
 use wdr_metrics::MetricsRegistry;
@@ -68,12 +69,12 @@ fn steady_state_rounds_do_not_allocate() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let g = generators::erdos_renyi_connected(40, 0.15, 1, &mut rng);
     let registry = MetricsRegistry::new();
-    let metrics = SimMetrics::register(&registry, "sim");
+    let metrics = Arc::new(SimMetrics::register(&registry, "sim"));
     let config = SimConfig {
         bandwidth: Bandwidth::bits(160),
         ..SimConfig::standard(g.n(), 1)
     }
-    .with_metrics(metrics.clone());
+    .with_telemetry(Telemetry::new(metrics.clone()));
     let mut net = Network::new(&g, 0, config, |_, _| EndlessGossip { digest: 0 });
 
     // Warm-up: the first steps grow every arena (inboxes, pending, outboxes,

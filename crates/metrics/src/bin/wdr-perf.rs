@@ -8,9 +8,10 @@
 //!
 //! `record` scans `--dir` (default `target/experiments`) for `BENCH_*.json`
 //! artifacts, builds one canonical-JSON trajectory row (provenance header,
-//! FNV artifact fingerprints, extracted metrics), and appends it to
-//! `--trajectory` (default `perf/trajectory.jsonl`). `--pin` marks the row
-//! as a comparison baseline; `--dry-run` prints the row without writing.
+//! FNV artifact fingerprints, each artifact's embedded registry pairs), and
+//! appends it to `--trajectory` (default `perf/trajectory.jsonl`). `--pin`
+//! marks the row as a comparison baseline; `--dry-run` prints the row
+//! without writing.
 //!
 //! `compare` rebuilds the current row the same way, gates it against the
 //! last pinned row with per-metric relative thresholds (default 15%, gated

@@ -3,10 +3,11 @@
 //!
 //! A **trajectory row** summarizes one benchmark run: the [`RunMeta`]
 //! provenance header, an FNV-1a hash per `BENCH_*.json` artifact, and a
-//! flat name → value map of every extracted metric. Rows are appended to
-//! `perf/trajectory.jsonl` (one canonical-JSON object per line); rows
-//! recorded with `--pin` become the baseline that `wdr-perf compare` gates
-//! later runs against.
+//! flat name → value map of the registry pairs every artifact embeds in
+//! its `metrics` field (the trajectory knows no artifact schema). Rows are
+//! appended to `perf/trajectory.jsonl` (one canonical-JSON object per
+//! line); rows recorded with `--pin` become the baseline that
+//! `wdr-perf compare` gates later runs against.
 //!
 //! Gating is deliberately conservative: only *machine-independent* metrics
 //! (envelope constants `.c_max`, SumSweep `.sweep_fraction`, parallel
@@ -422,156 +423,11 @@ pub fn compare(baseline: &TrajectoryRow, current: &TrajectoryRow, threshold: f64
     }
 }
 
-/// Extracts trajectory metrics from one parsed `BENCH_*.json` artifact.
-/// `stem` is the file name without extension (e.g. `BENCH_step_engine`).
-/// Unknown artifacts contribute only their embedded `metrics` pairs (if
-/// any), keeping the extractor forward-compatible.
-pub fn extract_metrics(stem: &str, v: &Value, out: &mut BTreeMap<String, f64>) {
-    let rows = v.get("rows").and_then(Value::as_array);
-    match stem {
-        "BENCH_step_engine" => {
-            for row in rows.into_iter().flatten() {
-                let (Some(n), Some(mode), Some(threads)) = (
-                    row.get("n").and_then(Value::as_u64),
-                    row.get("mode").and_then(Value::as_str),
-                    row.get("threads").and_then(Value::as_u64),
-                ) else {
-                    continue;
-                };
-                let prefix = format!("e8.n{n}.{mode}.t{threads}");
-                copy_num(
-                    row,
-                    "rounds_per_sec",
-                    &format!("{prefix}.rounds_per_sec"),
-                    out,
-                );
-                copy_num(row, "secs_per_run", &format!("{prefix}.secs_per_run"), out);
-                copy_num(
-                    row,
-                    "speedup_vs_sequential",
-                    &format!("{prefix}.speedup"),
-                    out,
-                );
-            }
-        }
-        "BENCH_metrics_kernels" => {
-            for row in rows.into_iter().flatten() {
-                let (Some(n), Some(density), Some(w), Some(kernel)) = (
-                    row.get("n").and_then(Value::as_u64),
-                    row.get("density").and_then(Value::as_str),
-                    row.get("max_weight").and_then(Value::as_u64),
-                    row.get("kernel").and_then(Value::as_str),
-                ) else {
-                    continue;
-                };
-                let prefix = format!("e9.n{n}.{density}.w{w}.{kernel}");
-                copy_num(
-                    row,
-                    "sweep_fraction",
-                    &format!("{prefix}.sweep_fraction"),
-                    out,
-                );
-                copy_num(row, "secs_per_run", &format!("{prefix}.secs_per_run"), out);
-                copy_num(row, "speedup_vs_brute", &format!("{prefix}.speedup"), out);
-            }
-        }
-        "BENCH_giant" => {
-            for row in rows.into_iter().flatten() {
-                let (Some(family), Some(n), Some(kernel)) = (
-                    row.get("family").and_then(Value::as_str),
-                    row.get("n").and_then(Value::as_u64),
-                    row.get("kernel").and_then(Value::as_str),
-                ) else {
-                    continue;
-                };
-                let prefix = format!("e11.{family}.n{n}");
-                // Per-(family, n) pipeline metrics repeat on every kernel
-                // row; the map insert dedups them.
-                copy_num(row, "load_ms", &format!("{prefix}.load_ms"), out);
-                copy_num(row, "load_ratio", &format!("{prefix}.load_ratio"), out);
-                copy_num(
-                    row,
-                    "sweep_fraction",
-                    &format!("{prefix}.{kernel}.sweep_fraction"),
-                    out,
-                );
-                copy_num(
-                    row,
-                    "solve_secs",
-                    &format!("{prefix}.{kernel}.solve_secs"),
-                    out,
-                );
-                copy_num(
-                    row,
-                    "nodes_per_sec",
-                    &format!("{prefix}.{kernel}.nodes_per_sec"),
-                    out,
-                );
-            }
-        }
-        "BENCH_batch" => {
-            // E12: lanes == 0 is the sequential reference row. The gated
-            // headline (e12.batch_speedup) and lane count arrive via the
-            // embedded `metrics` pairs; per-row figures are informational.
-            for row in rows.into_iter().flatten() {
-                let Some(lanes) = row.get("lanes").and_then(Value::as_u64) else {
-                    continue;
-                };
-                let prefix = if lanes == 0 {
-                    "e12.seq".to_string()
-                } else {
-                    format!("e12.lanes{lanes}")
-                };
-                copy_num(row, "wall_secs", &format!("{prefix}.wall_secs"), out);
-                copy_num(
-                    row,
-                    "scenarios_per_sec",
-                    &format!("{prefix}.scenarios_per_sec"),
-                    out,
-                );
-            }
-        }
-        "BENCH_ablate" => {
-            // E13: one row per ablation job, keyed by the swept factors.
-            // Ratios and sandwich flags are sandwich-correctness evidence,
-            // not machine performance — informational rows; the headline
-            // aggregates (job/violation counts, worst ratio) arrive via
-            // the embedded `metrics` pairs.
-            for row in rows.into_iter().flatten() {
-                let (Some(eps), Some(fault_rate), Some(w)) = (
-                    row.get("eps").and_then(Value::as_f64),
-                    row.get("fault_rate").and_then(Value::as_f64),
-                    row.get("max_weight").and_then(Value::as_u64),
-                ) else {
-                    continue;
-                };
-                let prefix = format!("e13.eps{eps:?}.f{fault_rate:?}.w{w}");
-                copy_num(row, "ratio", &format!("{prefix}.ratio"), out);
-                copy_num(row, "hard_ok", &format!("{prefix}.hard_ok"), out);
-                copy_num(row, "soft_ok", &format!("{prefix}.soft_ok"), out);
-                copy_num(row, "failed", &format!("{prefix}.failed"), out);
-            }
-        }
-        "BENCH_conformance" => {
-            for regime in v
-                .get("regimes")
-                .and_then(Value::as_array)
-                .into_iter()
-                .flatten()
-            {
-                let Some(name) = regime.get("regime").and_then(Value::as_str) else {
-                    continue;
-                };
-                let prefix = format!("conformance.{name}");
-                copy_num(regime, "c_max", &format!("{prefix}.c_max"), out);
-                copy_num(regime, "c_mean", &format!("{prefix}.c_mean"), out);
-                copy_num(regime, "samples", &format!("{prefix}.samples"), out);
-            }
-        }
-        _ => {}
-    }
-    // Embedded registry snapshots: `"metrics": [["name", value], ...]` —
-    // names are already fully qualified by the emitter.
+/// Extracts trajectory metrics from one parsed `BENCH_*.json` artifact:
+/// its embedded registry snapshot, `"metrics": [["name", value], ...]`.
+/// Names are already fully qualified by the emitter, and nothing else in
+/// the artifact (its `rows`, for instance) is read.
+pub fn extract_metrics(v: &Value, out: &mut BTreeMap<String, f64>) {
     for pair in v
         .get("metrics")
         .and_then(Value::as_array)
@@ -583,12 +439,6 @@ pub fn extract_metrics(stem: &str, v: &Value, out: &mut BTreeMap<String, f64>) {
                 out.insert(name.to_string(), value);
             }
         }
-    }
-}
-
-fn copy_num(row: &Value, field: &str, key: &str, out: &mut BTreeMap<String, f64>) {
-    if let Some(value) = row.get(field).and_then(Value::as_f64) {
-        out.insert(key.to_string(), value);
     }
 }
 
@@ -616,8 +466,7 @@ pub fn collect_dir(dir: &Path) -> Result<TrajectoryRow, String> {
             std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         artifacts.insert(name.clone(), fnv1a_hex(text.as_bytes()));
         let v = serde_json::from_str(&text).map_err(|e| format!("parse {name}: {e}"))?;
-        let stem = name.trim_end_matches(".json");
-        extract_metrics(stem, &v, &mut metrics);
+        extract_metrics(&v, &mut metrics);
         for seed in v
             .get("meta")
             .and_then(|m| m.get("seeds"))
@@ -799,123 +648,51 @@ mod tests {
     }
 
     #[test]
-    fn extractors_read_all_three_artifacts() {
+    fn extractor_reads_embedded_pairs_only() {
         let mut out = BTreeMap::new();
-        let e8 = serde_json::from_str(
-            r#"{"rows":[{"n":48,"mode":"parallel","threads":4,
-                "rounds_per_sec":100.5,"secs_per_run":0.01,"speedup_vs_sequential":2.5}],
-                "metrics":[["e8.sim.rounds",60]]}"#,
+        let artifact = serde_json::from_str(
+            r#"{"rows":[{"n":48,"mode":"parallel","threads":4,"speedup_vs_sequential":2.5}],
+                "regimes":[{"regime":"q","c_max":9.0}],
+                "metrics":[["e9.x.sweep_fraction",0.023],["conformance.q.c_max",2.0],
+                    ["e13.x.failed",1],["bad"],[3,4],["nan",null]]}"#,
         )
         .unwrap();
-        extract_metrics("BENCH_step_engine", &e8, &mut out);
-        assert_eq!(out["e8.n48.parallel.t4.speedup"], 2.5);
-        assert_eq!(out["e8.sim.rounds"], 60.0);
-
-        let e9 = serde_json::from_str(
-            r#"{"rows":[{"n":512,"density":"sparse","max_weight":128,"kernel":"sumsweep",
-                "sweeps":12,"sweep_fraction":0.023,"secs_per_run":0.5,"speedup_vs_brute":4.0}]}"#,
-        )
-        .unwrap();
-        extract_metrics("BENCH_metrics_kernels", &e9, &mut out);
-        assert_eq!(out["e9.n512.sparse.w128.sumsweep.sweep_fraction"], 0.023);
-        assert!(gated("e9.n512.sparse.w128.sumsweep.sweep_fraction"));
-
-        let conf = serde_json::from_str(
-            r#"{"regimes":[{"regime":"quantum|low-D|unit-w","samples":9,
-                "c_min":0.5,"c_mean":1.0,"c_max":2.0,"ceiling":30.0,"passed":true}]}"#,
-        )
-        .unwrap();
-        extract_metrics("BENCH_conformance", &conf, &mut out);
-        assert_eq!(out["conformance.quantum|low-D|unit-w.c_max"], 2.0);
-        assert!(gated("conformance.quantum|low-D|unit-w.c_max"));
+        extract_metrics(&artifact, &mut out);
+        let want = [
+            ("conformance.q.c_max", 2.0),
+            ("e13.x.failed", 1.0),
+            ("e9.x.sweep_fraction", 0.023),
+        ];
+        let want: BTreeMap<String, f64> = want.map(|(k, v)| (k.to_string(), v)).into();
         assert_eq!(
-            direction("conformance.quantum|low-D|unit-w.samples"),
-            Direction::HigherIsBetter
+            out, want,
+            "rows and regimes are ignored; malformed pairs are skipped"
         );
 
-        let giant = serde_json::from_str(
-            r#"{"rows":[{"family":"power_law","n":1000000,"edges":9899000,
-                "gen_ms":2300.0,"load_ms":0.4,"load_ratio":5750.0,"kernel":"sumsweep",
-                "sweeps":14,"sweep_fraction":0.000014,"solve_secs":2.1,
-                "nodes_per_sec":6666666.0,"diameter":19,"radius":11}]}"#,
-        )
-        .unwrap();
-        extract_metrics("BENCH_giant", &giant, &mut out);
-        assert_eq!(out["e11.power_law.n1000000.load_ratio"], 5750.0);
-        assert_eq!(
-            out["e11.power_law.n1000000.sumsweep.sweep_fraction"],
-            0.000014
-        );
-        assert_eq!(
-            out["e11.power_law.n1000000.sumsweep.nodes_per_sec"],
-            6666666.0
-        );
-        assert!(gated("e11.power_law.n1000000.sumsweep.sweep_fraction"));
-        assert!(
-            !gated("e11.power_law.n1000000.load_ratio"),
-            "load ratio is machine-dependent: info only"
-        );
-        assert_eq!(
-            direction("e11.power_law.n1000000.load_ratio"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(
-            direction("e11.power_law.n1000000.sumsweep.nodes_per_sec"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(
-            direction("e11.power_law.n1000000.load_ms"),
-            Direction::LowerIsBetter
-        );
-
-        let batch = serde_json::from_str(
-            r#"{"rows":[{"lanes":0,"wall_secs":10.0,"setup_secs":1.0,"execute_secs":9.0,
-                "scenarios_per_sec":50.0,"speedup":1.0,"shared_setups":0},
-                {"lanes":8,"wall_secs":1.6,"setup_secs":0.2,"execute_secs":1.4,
-                "scenarios_per_sec":312.5,"speedup":6.25,"shared_setups":120}],
-                "metrics":[["e12.batch_speedup",6.25],["e12.lane_count",8]]}"#,
-        )
-        .unwrap();
-        extract_metrics("BENCH_batch", &batch, &mut out);
-        assert_eq!(out["e12.seq.wall_secs"], 10.0);
-        assert_eq!(out["e12.lanes8.wall_secs"], 1.6);
-        assert_eq!(out["e12.lanes8.scenarios_per_sec"], 312.5);
-        assert_eq!(out["e12.batch_speedup"], 6.25);
-        assert_eq!(out["e12.lane_count"], 8.0);
-        assert!(gated("e12.batch_speedup"), "headline speedup is gated");
-        assert!(
-            !gated("e12.lanes8.wall_secs") && !gated("e12.lane_count"),
-            "raw wall times and lane counts are informational"
-        );
-        assert_eq!(direction("e12.batch_speedup"), Direction::HigherIsBetter);
-        assert_eq!(
-            direction("e12.lanes8.scenarios_per_sec"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(direction("e12.seq.wall_secs"), Direction::LowerIsBetter);
-
-        let ablate = serde_json::from_str(
-            r#"{"rows":[{"job":"job-0000","eps":0.08,"fault_rate":0.0,"max_weight":1,
-                "ratio":1.0,"hard_ok":1.0,"soft_ok":1.0,"failed":0.0},
-                {"job":"job-0003","eps":0.45,"fault_rate":0.04,"max_weight":4096,
-                "failed":1.0}],
-                "metrics":[["e13.jobs",18],["e13.violations",0],["e13.worst_ratio",1.07]]}"#,
-        )
-        .unwrap();
-        extract_metrics("BENCH_ablate", &ablate, &mut out);
-        assert_eq!(out["e13.eps0.08.f0.0.w1.ratio"], 1.0);
-        assert_eq!(out["e13.eps0.08.f0.0.w1.hard_ok"], 1.0);
-        assert_eq!(out["e13.eps0.45.f0.04.w4096.failed"], 1.0);
-        assert!(
-            !out.contains_key("e13.eps0.45.f0.04.w4096.ratio"),
-            "errored jobs carry no ratio"
-        );
-        assert_eq!(out["e13.jobs"], 18.0);
-        assert_eq!(out["e13.worst_ratio"], 1.07);
-        assert!(
-            !gated("e13.eps0.08.f0.0.w1.ratio") && !gated("e13.worst_ratio"),
-            "ablation ratios are correctness evidence, not perf gates"
-        );
+        // Gate membership and direction follow from the name suffix alone.
+        use Direction::{HigherIsBetter as Higher, LowerIsBetter as Lower};
+        for (name, is_gated, dir) in [
+            ("e9.n512.sparse.w128.sumsweep.sweep_fraction", true, Lower),
+            ("conformance.q.c_max", true, Lower),
+            ("conformance.q.samples", false, Higher),
+            ("e8.n48.parallel.t4.speedup", true, Higher),
+            ("e11.power_law.n1000000.load_ms", false, Lower),
+            ("e11.power_law.n1000000.load_ratio", false, Higher),
+            (
+                "e11.power_law.n1000000.sumsweep.nodes_per_sec",
+                false,
+                Higher,
+            ),
+            ("e12.batch_speedup", true, Higher),
+            ("e12.seq.wall_secs", false, Lower),
+            ("e12.lanes8.scenarios_per_sec", false, Higher),
+            ("e12.lane_count", false, Lower),
+            ("e12.gate_skipped", false, Lower),
+            ("e13.eps0.08.f0.0.w1.ratio", false, Lower),
+            ("e13.worst_ratio", false, Lower),
+        ] {
+            assert_eq!((gated(name), direction(name)), (is_gated, dir), "{name}");
+        }
     }
 
     #[test]

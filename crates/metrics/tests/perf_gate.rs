@@ -16,7 +16,8 @@ fn write_conformance_artifact(dir: &Path, c_max: f64) {
             r#""recorded_at_utc":"2026-08-07T00:00:00Z","host_threads":4,"seeds":[0,1,2,3]}},"#,
             r#""regimes":[{{"regime":"QuantumWeighted|sqrt-nD|small-w","kind":"QuantumWeighted","#,
             r#""samples":8,"c_min":0.4,"c_mean":1.1,"c_max":{c_max},"ceiling":1000000000.0,"#,
-            r#""passed":true}}]}}"#
+            r#""passed":true}}],"#,
+            r#""metrics":[["conformance.QuantumWeighted|sqrt-nD|small-w.c_max",{c_max}]]}}"#
         ),
         c_max = c_max
     );
@@ -172,9 +173,9 @@ fn baseline_metric_missing_from_rerun_warns_but_passes() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// An artifact with a name no extractor knows contributes its embedded
-/// `metrics` pairs (and its fingerprint) instead of being rejected — the
-/// extractor is forward-compatible with future experiments.
+/// An artifact of a kind the trajectory has never seen contributes its
+/// embedded `metrics` pairs (and its fingerprint) like any other — the
+/// extractor reads no artifact schema, so it is forward-compatible.
 #[test]
 fn unknown_bench_artifact_contributes_embedded_metrics_only() {
     let root = temp_root("unknown");
