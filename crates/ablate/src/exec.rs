@@ -1,15 +1,14 @@
 //! Job execution: maps each expanded [`Job`] onto one of the existing
 //! substrates and fans graph-sharing groups across batch lanes.
 //!
-//! The lane discipline replicates `wdr_conformance::batch`: jobs are
-//! grouped by derived *graph identity* (so group-mates amortize one
-//! [`SharedSetup`] build, including its cached
-//! `congest_graph::context::GraphContext` sweeps), groups are spawned across a
-//! dedicated rayon pool with one disjoint result bucket per group, and
-//! results are reduced back into job-index order. Only deterministic
-//! quantities enter the outcome (no timings), so the reduced result — and
-//! therefore the runbook bytes — is identical across lane counts,
-//! including the sequential `lanes = None` path.
+//! Scheduling is the conformance batch executor,
+//! [`wdr_conformance::batch::run_grouped`]: jobs are grouped by derived
+//! *graph identity* (so group-mates amortize one [`SharedSetup`] build,
+//! including its cached sweeps), groups fan across a dedicated pool
+//! (`lanes = None` is one lane), and results are reduced back into
+//! job-index order. Only deterministic quantities enter the outcome (no
+//! timings), so the reduced result — and therefore the runbook bytes — is
+//! identical at every lane count.
 
 use crate::expand::Job;
 use crate::plan::Substrate;
@@ -20,6 +19,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde_json::Value;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use wdr_conformance::batch::run_grouped;
 use wdr_conformance::oracle::SharedSetup;
 use wdr_conformance::runner::{self, SuiteOptions};
 use wdr_conformance::scenario::{Family, FaultSpec, ParMode, ScenarioSpec, Workload};
@@ -270,11 +271,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     format!("substrate panicked: {text}")
 }
 
+/// A failed job: no metrics beyond `failed = 1`, and the error message.
+fn failed(job: &Job, error: String) -> JobOutcome {
+    let mut metrics = BTreeMap::new();
+    metrics.insert("failed".to_string(), 1.0);
+    JobOutcome {
+        index: job.index,
+        metrics,
+        error: Some(error),
+    }
+}
+
 /// Runs one job against an optional pre-built shared setup. Substrate
 /// panics are contained into deterministic job errors (the conformance
 /// no-panic discipline), so one bad job never kills a lane pool.
 fn run_job(substrate: Substrate, job: &Job, setup: Option<&SharedSetup>) -> JobOutcome {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match substrate {
+    let result = catch_unwind(AssertUnwindSafe(|| match substrate {
         Substrate::Quantum => setup
             .ok_or("missing shared setup".to_string())
             .and_then(|s| run_quantum(job, s)),
@@ -296,120 +308,46 @@ fn run_job(substrate: Substrate, job: &Job, setup: Option<&SharedSetup>) -> JobO
                 error: None,
             }
         }
-        Err(error) => {
-            let mut metrics = BTreeMap::new();
-            metrics.insert("failed".to_string(), 1.0);
-            JobOutcome {
-                index: job.index,
-                metrics,
-                error: Some(error),
-            }
-        }
+        Err(error) => failed(job, error),
     }
 }
 
-/// Runs a whole graph-identity group, building the shared setup once.
-fn run_group(substrate: Substrate, jobs: &[&Job]) -> Vec<JobOutcome> {
+/// Runs a whole graph-identity group (`group` indexes `jobs`), building the
+/// shared setup once.
+fn run_group(substrate: Substrate, jobs: &[Job], group: &[usize]) -> Vec<JobOutcome> {
     let setup = match substrate {
         Substrate::Quantum | Substrate::Sweep | Substrate::RoundEngine => {
-            match scenario_from(jobs[0], Workload::BaselineExact) {
-                Ok(spec) => Some(SharedSetup::build(&spec)),
-                Err(e) => {
-                    // Malformed graph params fail every group member the
-                    // same way; report per job for a readable runbook.
-                    return jobs
-                        .iter()
-                        .map(|job| {
-                            let mut metrics = BTreeMap::new();
-                            metrics.insert("failed".to_string(), 1.0);
-                            JobOutcome {
-                                index: job.index,
-                                metrics,
-                                error: Some(e.clone()),
-                            }
-                        })
-                        .collect();
-                }
+            let built = scenario_from(&jobs[group[0]], Workload::BaselineExact).and_then(|spec| {
+                catch_unwind(AssertUnwindSafe(|| SharedSetup::build(&spec))).map_err(panic_message)
+            });
+            match built {
+                Ok(setup) => Some(setup),
+                // Malformed graph params or a panicking graph build fail
+                // every group member the same way; report per job for a
+                // readable runbook.
+                Err(e) => return group.iter().map(|&i| failed(&jobs[i], e.clone())).collect(),
             }
         }
         Substrate::Conformance => None,
     };
-    jobs.iter()
-        .map(|job| run_job(substrate, job, setup.as_ref()))
+    group
+        .iter()
+        .map(|&i| run_job(substrate, &jobs[i], setup.as_ref()))
         .collect()
 }
 
-/// Groups job indices by [`group_key`], groups in first-appearance order
-/// (the `batch::group_by_graph` discipline).
-fn group_jobs(substrate: Substrate, jobs: &[Job]) -> Vec<Vec<usize>> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: std::collections::HashMap<String, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (idx, job) in jobs.iter().enumerate() {
-        let key = group_key(substrate, job);
-        let bucket = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
-        });
-        bucket.push(idx);
-    }
-    order
-        .into_iter()
-        .map(|key| groups.remove(&key).expect("group recorded in order"))
-        .collect()
-}
-
-/// Runs every job, sequentially (`lanes = None`) or with graph-identity
-/// groups fanned across a dedicated `l`-lane rayon pool. Outcomes come
-/// back in job-index order and are bit-identical across both paths and
-/// every lane count (nothing time- or schedule-dependent enters them).
-pub fn run_jobs(
-    substrate: Substrate,
-    jobs: &[Job],
-    lanes: Option<usize>,
-) -> Result<Vec<JobOutcome>, String> {
-    let groups = group_jobs(substrate, jobs);
-    let mut slots: Vec<Option<JobOutcome>> = (0..jobs.len()).map(|_| None).collect();
-    match lanes {
-        None => {
-            for group in &groups {
-                let members: Vec<&Job> = group.iter().map(|&i| &jobs[i]).collect();
-                for outcome in run_group(substrate, &members) {
-                    let idx = outcome.index;
-                    slots[idx] = Some(outcome);
-                }
-            }
-        }
-        Some(l) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(l.max(1))
-                .build()
-                .map_err(|e| format!("build lane pool: {e}"))?;
-            let mut buckets: Vec<Vec<JobOutcome>> =
-                groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
-            pool.install(|| {
-                rayon::scope(|s| {
-                    for (group, bucket) in groups.iter().zip(buckets.iter_mut()) {
-                        s.spawn(move || {
-                            let members: Vec<&Job> = group.iter().map(|&i| &jobs[i]).collect();
-                            *bucket = run_group(substrate, &members);
-                        });
-                    }
-                });
-            });
-            // Index-ordered reduction: lane scheduling never touches the
-            // output order.
-            for outcome in buckets.into_iter().flatten() {
-                let idx = outcome.index;
-                slots[idx] = Some(outcome);
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.ok_or(format!("job {i} produced no outcome")))
-        .collect()
+/// Runs every job on the conformance batch executor
+/// ([`wdr_conformance::batch::run_grouped`]): graph-identity groups fan
+/// across `lanes` lanes (`None` = one lane). Outcomes come back in
+/// job-index order and are bit-identical at every lane count (nothing
+/// time- or schedule-dependent enters them).
+pub fn run_jobs(substrate: Substrate, jobs: &[Job], lanes: Option<usize>) -> Vec<JobOutcome> {
+    run_grouped(
+        jobs,
+        |job| group_key(substrate, job),
+        lanes,
+        |group| run_group(substrate, jobs, group),
+    )
 }
 
 #[cfg(test)]
@@ -444,7 +382,7 @@ mod tests {
     #[test]
     fn sweep_jobs_measure_path_extremes() {
         let jobs = expand(&sweep_plan(), 1).unwrap();
-        let outcomes = run_jobs(Substrate::Sweep, &jobs, None).unwrap();
+        let outcomes = run_jobs(Substrate::Sweep, &jobs, None);
         assert_eq!(outcomes.len(), 4);
         for (job, out) in jobs.iter().zip(&outcomes) {
             assert_eq!(out.error, None);
@@ -457,12 +395,40 @@ mod tests {
     }
 
     #[test]
-    fn lanes_match_sequential() {
+    fn outcomes_are_lane_count_invariant() {
         let jobs = expand(&sweep_plan(), 9).unwrap();
-        let seq = run_jobs(Substrate::Sweep, &jobs, None).unwrap();
+        let one_lane = run_jobs(Substrate::Sweep, &jobs, None);
         for lanes in [1, 2, 4] {
-            assert_eq!(run_jobs(Substrate::Sweep, &jobs, Some(lanes)).unwrap(), seq);
+            assert_eq!(run_jobs(Substrate::Sweep, &jobs, Some(lanes)), one_lane);
         }
+    }
+
+    #[test]
+    fn panicking_graph_setup_fails_only_its_group() {
+        // `er_p = 1.5` trips the generator's `p ∈ [0, 1]` assert while the
+        // shared setup is built; the 0.3 job must still run.
+        let mut plan = sweep_plan();
+        plan.factors.clear();
+        plan.factors.insert(
+            "er_p".to_string(),
+            vec![Value::Number(0.3), Value::Number(1.5)],
+        );
+        plan.fixed
+            .insert("family".to_string(), Value::String("erdos_renyi".into()));
+        let jobs = expand(&plan, 3).unwrap();
+        let outcomes = run_jobs(Substrate::Sweep, &jobs, None);
+        assert_eq!(outcomes.len(), 2);
+        for (job, out) in jobs.iter().zip(&outcomes) {
+            if job.params["er_p"].as_f64() == Some(0.3) {
+                assert_eq!(out.error, None);
+                assert_eq!(out.metrics["failed"], 0.0);
+            } else {
+                let error = out.error.as_deref().expect("the 1.5 job fails");
+                assert!(error.starts_with("substrate panicked:"), "{error}");
+                assert_eq!(out.metrics["failed"], 1.0);
+            }
+        }
+        assert_eq!(run_jobs(Substrate::Sweep, &jobs, Some(2)), outcomes);
     }
 
     #[test]
@@ -471,7 +437,7 @@ mod tests {
         plan.fixed
             .insert("family".to_string(), Value::String("banana".into()));
         let jobs = expand(&plan, 1).unwrap();
-        let outcomes = run_jobs(Substrate::Sweep, &jobs, Some(2)).unwrap();
+        let outcomes = run_jobs(Substrate::Sweep, &jobs, Some(2));
         assert!(outcomes
             .iter()
             .all(|o| o.error.as_deref().is_some_and(|e| e.contains("banana"))));
@@ -487,7 +453,7 @@ mod tests {
             vec![Value::Number(0.0), Value::Number(0.05)],
         );
         let jobs = expand(&plan, 2).unwrap();
-        let outcomes = run_jobs(Substrate::RoundEngine, &jobs, Some(2)).unwrap();
+        let outcomes = run_jobs(Substrate::RoundEngine, &jobs, Some(2));
         let clean: Vec<&JobOutcome> = outcomes.iter().filter(|o| o.error.is_none()).collect();
         assert!(!clean.is_empty());
         for out in clean {

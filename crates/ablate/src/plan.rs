@@ -65,7 +65,7 @@ pub enum Substrate {
     /// (`congest_wdr::algorithm::quantum_weighted`, oracle calibration).
     Quantum,
     /// Pruned sweep extremes on a generated family
-    /// (`congest_graph::sweep` via `GraphContext`).
+    /// (`congest_graph::sweep`, cached in the group's `SharedSetup`).
     Sweep,
     /// An E8-style round-engine run (BFS tree + converge-cast under an
     /// optional fault plan).

@@ -1,6 +1,6 @@
 //! Snippet-3 discipline: ablation runs are deterministic — same plan +
 //! seed ⇒ `assert_eq!` on the whole report AND byte-identical canonical
-//! JSON, across the sequential path and 1/2/4 lanes, in both grid and
+//! JSON, across the one-lane default and 1/2/4 lanes, in both grid and
 //! LHS modes; LHS job counts honor `samples`.
 //!
 //! The property runs on the `Sweep` substrate (pure graph kernels) so

@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the conformance batch engine: the same
-//! corpus slice driven through the one-at-a-time path and through the
-//! lockstep batch path at several lane counts. The E12 experiment gates
-//! the end-to-end corpus speedup; these benches keep the per-layer costs
-//! visible — shared-setup amortization shows up even at one lane, and the
-//! lane sweep localizes scheduling overhead when the gate regresses.
+//! corpus slice driven through the graph-grouped executor at several lane
+//! counts. The E12 experiment gates the end-to-end fan-out speedup; these
+//! benches keep the per-layer costs visible — one lane is the default
+//! (`lanes: None`), and the lane sweep localizes scheduling overhead when
+//! the gate regresses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -27,15 +27,9 @@ fn run(specs: &[ScenarioSpec], lanes: Option<usize>) -> usize {
     report.outcomes.len()
 }
 
-/// The reference path: cold per-scenario setup, corpus order.
-fn sequential(c: &mut Criterion) {
-    let specs = corpus();
-    c.bench_function("batch_sequential_12", |b| b.iter(|| run(&specs, None)));
-}
-
-/// The batch engine across lane counts. One lane isolates the grouping +
-/// shared-setup win from parallel fan-out; higher lane counts add the
-/// rayon scope on top (a wash on few-core hosts, the E12 gate elsewhere).
+/// The batch engine across lane counts. One lane is grouping + shared
+/// setups alone; higher lane counts add parallel fan-out on top (a wash
+/// on few-core hosts, the E12 gate elsewhere).
 fn batched(c: &mut Criterion) {
     let specs = corpus();
     for lanes in [1usize, 2, 4] {
@@ -54,5 +48,5 @@ fn grouping(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, sequential, batched, grouping);
+criterion_group!(benches, batched, grouping);
 criterion_main!(benches);

@@ -1,32 +1,28 @@
-//! Many-seed batch execution engine: lockstep scenario execution with
-//! results bit-identical to the one-at-a-time path.
+//! Many-seed batch execution engine: one graph-grouped executor shared by
+//! the conformance runner and the ablation harness.
 //!
 //! The engine splits a corpus run into the two halves the algorithm's own
 //! structure suggests (the paper fixes the skeleton and distance-scale
 //! schedule per graph while only the Grover randomness varies per run):
 //!
-//! * **shared-immutable, once per family cell** — specs are grouped by
+//! * **shared-immutable, once per graph group** — specs are grouped by
 //!   [`graph_key`] (specs with equal keys build byte-identical graphs), and
-//!   each group gets one [`SharedSetup`]: the [`WeightedGraph`] plus the
-//!   lazily-cached derived metrics of
-//!   [`congest_graph::context::GraphContext`] (`D`, weighted/unweighted
-//!   extremes). The Lemma 3.1 amplification budgets are likewise derived
-//!   once per `(ρ, δ)` cell through
-//!   [`quantum_sim::search::SearchSchedule::cached`];
-//! * **per-seed mutable, one lane per scenario** — RNG streams, Grover
-//!   measurement tallies, oracle verdicts, and timings live in the lane
-//!   results, laid out struct-of-arrays by corpus index
-//!   ([`LaneResults`]).
+//!   each group gets one [`SharedSetup`]: the [`WeightedGraph`] plus its
+//!   lazily-cached derived metrics (`D`, weighted/unweighted extremes);
+//! * **per-seed mutable, one result per scenario** — RNG streams, Grover
+//!   measurement tallies, oracle verdicts, and timings are returned per
+//!   spec, in corpus order.
 //!
-//! Groups are fanned across a dedicated vendored-rayon pool. Each spawned
-//! task installs its *own* mutation and search-metrics guards (both are
+//! [`run_grouped`] fans the groups across a dedicated vendored-rayon pool
+//! (`lanes: None` is one lane, not a separate code path). Each group task
+//! installs its *own* mutation and search-metrics guards (both are
 //! thread-local scope guards), so mutation self-checks and live counters
-//! behave identically under batching; the counters are shared atomics, so
-//! corpus-wide totals are independent of lane scheduling. Lane results are
-//! written back into their original corpus slots — the index-ordered
-//! reduction discipline of `parallel_equiv.rs` — so the returned order, and
-//! every value in it, is bit-identical to the sequential path. The
-//! `tests/batch_equiv.rs` proptests pin exactly that.
+//! behave identically at every lane count; the counters are shared
+//! atomics, so corpus-wide totals are independent of lane scheduling.
+//! Results are written back into their original corpus slots, so the
+//! returned order, and every value in it, is identical at every lane count
+//! and equal to running each spec alone. The `tests/batch_equiv.rs`
+//! proptests pin exactly that.
 //!
 //! [`WeightedGraph`]: congest_graph::WeightedGraph
 //! [`SharedSetup`]: crate::oracle::SharedSetup
@@ -35,6 +31,8 @@ use crate::oracle::{self, ScenarioOutcome, SharedSetup};
 use crate::scenario::{Family, ScenarioSpec};
 use quantum_sim::mutation::Mutation;
 use quantum_sim::SearchMetrics;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
@@ -48,7 +46,7 @@ pub struct ScenarioTiming {
     /// The scenario's seed (corpus identity).
     pub seed: u64,
     /// Seconds spent building graph + `D` for this scenario. Zero when the
-    /// scenario reused a setup built by an earlier lane-mate.
+    /// scenario reused a setup built by an earlier group-mate.
     pub setup_secs: f64,
     /// Seconds spent running the oracles (both replays).
     pub execute_secs: f64,
@@ -62,16 +60,6 @@ impl ScenarioTiming {
     pub fn total_secs(&self) -> f64 {
         self.setup_secs + self.execute_secs
     }
-}
-
-/// Per-seed lane results in struct-of-arrays form, corpus order: lane `i`
-/// of each array belongs to `specs[i]`.
-#[derive(Debug, Default)]
-pub struct LaneResults {
-    /// Oracle outcomes, one per spec.
-    pub outcomes: Vec<ScenarioOutcome>,
-    /// Setup-vs-execute breakdown, one per spec.
-    pub timings: Vec<ScenarioTiming>,
 }
 
 /// The spec's *graph identity*: two specs with equal keys build
@@ -96,77 +84,98 @@ pub fn graph_key(spec: &ScenarioSpec) -> String {
 /// Groups corpus indices by [`graph_key`], groups in first-appearance
 /// order, indices ascending within each group.
 pub fn group_by_graph(specs: &[ScenarioSpec]) -> Vec<Vec<usize>> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: std::collections::HashMap<String, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (idx, spec) in specs.iter().enumerate() {
-        let key = graph_key(spec);
-        let bucket = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
+    group_by_key(specs, graph_key)
+}
+
+/// Groups item indices by `key`: groups in first-appearance order,
+/// indices ascending within each group.
+fn group_by_key<T, K: Eq + Hash>(items: &[T], key: impl Fn(&T) -> K) -> Vec<Vec<usize>> {
+    let mut group_of: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (idx, item) in items.iter().enumerate() {
+        let g = *group_of.entry(key(item)).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
         });
-        bucket.push(idx);
+        groups[g].push(idx);
     }
-    order
+    groups
+}
+
+/// The batch executor shared by the conformance runner and the ablation
+/// harness: groups `items` by `key`, fans the groups across a dedicated
+/// `lanes.unwrap_or(1)`-thread pool, and returns one result per item in
+/// item order.
+///
+/// `run_group` receives a group's indices (ascending) and returns one
+/// result per member, in the same order. Each call runs as its own pool
+/// task (on a pool worker, or on the calling thread while it helps drain
+/// the queue) and writes its own bucket (disjoint `&mut`, no locks on the result
+/// path); thread-local guards a group needs must therefore be installed
+/// inside `run_group`. The index-ordered reduction — the discipline of
+/// `parallel_equiv.rs` — makes the output order, and every value a
+/// schedule-independent `run_group` produces, identical at every lane
+/// count.
+///
+/// # Panics
+///
+/// Panics if `run_group` panics or returns the wrong number of results.
+pub fn run_grouped<T, K, R, F>(
+    items: &[T],
+    key: impl Fn(&T) -> K,
+    lanes: Option<usize>,
+    run_group: F,
+) -> Vec<R>
+where
+    K: Eq + Hash,
+    R: Send,
+    F: Fn(&[usize]) -> Vec<R> + Sync,
+{
+    let groups = group_by_key(items, key);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(lanes.unwrap_or(1).max(1))
+        .build()
+        .expect("build batch lane pool");
+    let mut buckets: Vec<Vec<R>> = groups.iter().map(|_| Vec::new()).collect();
+    pool.install(|| {
+        rayon::scope(|s| {
+            for (group, bucket) in groups.iter().zip(buckets.iter_mut()) {
+                let run_group = &run_group;
+                s.spawn(move || *bucket = run_group(group));
+            }
+        })
+    });
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for (group, bucket) in groups.iter().zip(buckets) {
+        assert_eq!(group.len(), bucket.len(), "one result per group member");
+        for (&idx, result) in group.iter().zip(bucket) {
+            slots[idx] = Some(result);
+        }
+    }
+    slots
         .into_iter()
-        .map(|key| groups.remove(&key).expect("group recorded in order"))
+        .map(|slot| slot.expect("every index filled exactly once"))
         .collect()
 }
 
-/// Runs `specs` through the oracles, sequentially or batched.
-///
-/// `lanes = None` is the one-at-a-time reference path: one setup per
-/// scenario, built privately, guards installed once on the calling thread
-/// (exactly the discipline `run_suite` always had). `lanes = Some(l)` runs
-/// the grouped batch engine on a dedicated `l`-thread pool. Both return
-/// results in corpus order with values bit-identical to each other.
+/// Runs `specs` through the oracles on [`run_grouped`]: one
+/// [`SharedSetup`] per graph group, `lanes` threads (`None` = one lane).
+/// Results come back in corpus order, identical at every lane count.
 pub fn run_specs(
     specs: &[ScenarioSpec],
     lanes: Option<usize>,
     mutate: Option<Mutation>,
     metrics: &SearchMetrics,
-) -> LaneResults {
-    match lanes {
-        None => run_sequential(specs, mutate, metrics),
-        Some(l) => run_batched(specs, l.max(1), mutate, metrics),
-    }
-}
-
-fn run_sequential(
-    specs: &[ScenarioSpec],
-    mutate: Option<Mutation>,
-    metrics: &SearchMetrics,
-) -> LaneResults {
-    let _mutation_guard = mutate.map(quantum_sim::mutation::arm);
-    let _metrics_guard = quantum_sim::instrument::install(metrics.clone());
-    let mut results = LaneResults::default();
-    for spec in specs {
-        let (outcome, timing) = run_one_cold(spec);
-        results.outcomes.push(outcome);
-        results.timings.push(timing);
-    }
-    results
-}
-
-/// Builds a private setup for `spec` and runs it, timing setup vs execute.
-fn run_one_cold(spec: &ScenarioSpec) -> (ScenarioOutcome, ScenarioTiming) {
-    let t0 = Instant::now();
-    let setup = build_setup(spec);
-    let setup_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let outcome = match &setup {
-        Some(setup) => oracle::run_scenario_shared(spec, setup),
-        // Setup panicked; the one-at-a-time path rebuilds internally and
-        // converts the same panic into the canonical no-panic failure.
-        None => oracle::run_scenario(spec),
-    };
-    let timing = ScenarioTiming {
-        seed: spec.seed,
-        setup_secs,
-        execute_secs: t1.elapsed().as_secs_f64(),
-        shared_setup: false,
-    };
-    (outcome, timing)
+) -> (Vec<ScenarioOutcome>, Vec<ScenarioTiming>) {
+    run_grouped(specs, graph_key, lanes, |group| {
+        // The mutation hook and metrics sink are thread-local scope
+        // guards, so every group task installs its own.
+        let _mutation_guard = mutate.map(quantum_sim::mutation::arm);
+        let _metrics_guard = quantum_sim::instrument::install(metrics.clone());
+        run_group(specs, group)
+    })
+    .into_iter()
+    .unzip()
 }
 
 /// Builds the shared setup with `D` pre-warmed (the one derived metric
@@ -180,99 +189,34 @@ fn build_setup(spec: &ScenarioSpec) -> Option<SharedSetup> {
     .ok()
 }
 
-fn run_batched(
-    specs: &[ScenarioSpec],
-    lanes: usize,
-    mutate: Option<Mutation>,
-    metrics: &SearchMetrics,
-) -> LaneResults {
-    let groups = group_by_graph(specs);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(lanes)
-        .build()
-        .expect("build batch lane pool");
-    // One result bucket per group: each spawned task owns its bucket
-    // (disjoint &mut), so no locks sit on the result path.
-    let mut buckets: Vec<Vec<(usize, ScenarioOutcome, ScenarioTiming)>> =
-        groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
-    pool.install(|| {
-        rayon::scope(|s| {
-            for (group, bucket) in groups.iter().zip(buckets.iter_mut()) {
-                let metrics = metrics.clone();
-                s.spawn(move || {
-                    // Thread-local guards must be installed in the lane
-                    // task itself — jobs run on pool workers (or on the
-                    // caller while it helps drain; both guards nest).
-                    let _mutation_guard = mutate.map(quantum_sim::mutation::arm);
-                    let _metrics_guard = quantum_sim::instrument::install(metrics);
-                    run_group(specs, group, bucket);
-                });
-            }
-        })
-    });
-    // Index-ordered reduction: every lane result lands back in its
-    // original corpus slot, so the output order (and content) is
-    // independent of lane count and scheduling.
-    let mut slots: Vec<Option<(ScenarioOutcome, ScenarioTiming)>> =
-        specs.iter().map(|_| None).collect();
-    for bucket in buckets {
-        for (idx, outcome, timing) in bucket {
-            debug_assert!(slots[idx].is_none(), "corpus index {idx} filled twice");
-            slots[idx] = Some((outcome, timing));
-        }
-    }
-    let mut results = LaneResults::default();
-    for slot in slots {
-        let (outcome, timing) = slot.expect("every corpus index filled exactly once");
-        results.outcomes.push(outcome);
-        results.timings.push(timing);
-    }
-    results
-}
-
 /// Runs one graph group against a single shared setup, attributing the
 /// setup cost to the group's first member.
-fn run_group(
-    specs: &[ScenarioSpec],
-    group: &[usize],
-    out: &mut Vec<(usize, ScenarioOutcome, ScenarioTiming)>,
-) {
+fn run_group(specs: &[ScenarioSpec], group: &[usize]) -> Vec<(ScenarioOutcome, ScenarioTiming)> {
     let t0 = Instant::now();
     let setup = build_setup(&specs[group[0]]);
     let setup_secs = t0.elapsed().as_secs_f64();
-    match setup {
-        Some(setup) => {
-            for (k, &idx) in group.iter().enumerate() {
-                let spec = &specs[idx];
-                let t1 = Instant::now();
-                let outcome = oracle::run_scenario_shared(spec, &setup);
-                let timing = ScenarioTiming {
-                    seed: spec.seed,
-                    setup_secs: if k == 0 { setup_secs } else { 0.0 },
-                    execute_secs: t1.elapsed().as_secs_f64(),
-                    shared_setup: k > 0,
-                };
-                out.push((idx, outcome, timing));
-            }
-        }
-        None => {
-            // Shared setup panicked. Fall back to the one-at-a-time path
-            // per member: it rebuilds (and re-panics) internally, yielding
-            // the exact failure outcome the sequential run reports.
-            for (k, &idx) in group.iter().enumerate() {
-                let spec = &specs[idx];
-                let t1 = Instant::now();
-                let outcome = oracle::run_scenario(spec);
-                let timing = ScenarioTiming {
-                    seed: spec.seed,
-                    setup_secs: if k == 0 { setup_secs } else { 0.0 },
-                    execute_secs: t1.elapsed().as_secs_f64(),
-                    shared_setup: false,
-                };
-                out.push((idx, outcome, timing));
-            }
-        }
-    }
+    group
+        .iter()
+        .enumerate()
+        .map(|(k, &idx)| {
+            let spec = &specs[idx];
+            let t1 = Instant::now();
+            let outcome = match &setup {
+                Some(setup) => oracle::run_scenario_shared(spec, setup),
+                // The setup panicked: `run_scenario` rebuilds (and
+                // re-panics) internally, yielding the canonical failed
+                // `no-panic` outcome.
+                None => oracle::run_scenario(spec),
+            };
+            let timing = ScenarioTiming {
+                seed: spec.seed,
+                setup_secs: if k == 0 { setup_secs } else { 0.0 },
+                execute_secs: t1.elapsed().as_secs_f64(),
+                shared_setup: k > 0 && setup.is_some(),
+            };
+            (outcome, timing)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -336,16 +280,16 @@ mod tests {
         ];
         let registry = wdr_metrics::MetricsRegistry::new();
         let metrics = SearchMetrics::register(&registry, "test.batch");
-        let results = run_specs(&specs, Some(2), None, &metrics);
-        assert_eq!(results.outcomes.len(), specs.len());
-        assert_eq!(results.timings.len(), specs.len());
-        for (i, outcome) in results.outcomes.iter().enumerate() {
+        let (outcomes, timings) = run_specs(&specs, Some(2), None, &metrics);
+        assert_eq!(outcomes.len(), specs.len());
+        assert_eq!(timings.len(), specs.len());
+        for (i, outcome) in outcomes.iter().enumerate() {
             assert_eq!(outcome.spec.seed, specs[i].seed);
-            assert_eq!(results.timings[i].seed, specs[i].seed);
+            assert_eq!(timings[i].seed, specs[i].seed);
         }
         // Seed 2 shares seed 0's Path graph: no setup cost, flagged shared.
-        assert!(results.timings[2].shared_setup);
-        assert_eq!(results.timings[2].setup_secs, 0.0);
-        assert!(!results.timings[0].shared_setup);
+        assert!(timings[2].shared_setup);
+        assert_eq!(timings[2].setup_secs, 0.0);
+        assert!(!timings[0].shared_setup);
     }
 }

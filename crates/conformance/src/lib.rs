@@ -28,10 +28,12 @@
 //! * [`runner`] — corpus execution, aggregate (soft-side) statistics, the
 //!   mutation self-check (`--mutate skip-grover-phase` must make the suite
 //!   fail), and the failing-seed shrinker behind `wdr-conform replay`.
-//! * [`batch`] — the many-seed batch engine (DESIGN.md §3j): specs grouped
-//!   by graph identity, one shared setup per group, lanes fanned across a
-//!   dedicated pool with index-ordered reduction, results bit-identical to
-//!   the sequential path (experiment E12 gates the speedup).
+//! * [`batch`] — the many-seed batch engine (DESIGN.md §3j): one
+//!   graph-grouped executor, shared with the ablation harness. Specs are
+//!   grouped by graph identity, each group gets one shared setup, and groups
+//!   fan across a dedicated pool (`lanes: None` is one lane) with
+//!   index-ordered reduction, so results are bit-identical at every lane
+//!   count (experiment E12 gates the fan-out speedup).
 //!
 //! # Examples
 //!

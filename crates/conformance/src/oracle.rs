@@ -15,8 +15,7 @@
 use crate::envelope::{ModelKind, RoundMeasurement};
 use crate::scenario::{ScenarioSpec, Workload};
 use congest_algos::baselines::{diameter_radius_exact, WeightMode};
-use congest_graph::context::GraphContext;
-use congest_graph::sweep::SweepResult;
+use congest_graph::sweep::{self, SweepResult};
 use congest_graph::WeightedGraph;
 use congest_sim::primitives::{self, Aggregate};
 use congest_wdr::algorithm::{quantum_weighted, Confidence, Objective};
@@ -24,6 +23,7 @@ use congest_wdr::params::WdrParams;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::panic::AssertUnwindSafe;
+use std::sync::OnceLock;
 
 /// The explicit `o(1)` term of Theorem 1.1's `(1+o(1))` guarantee, as a
 /// per-`n` tolerance: the paper instantiates `ε = 1/log n` (Section 2),
@@ -154,48 +154,57 @@ struct EvalResult {
 }
 
 /// The shared-immutable half of a scenario run: the built graph plus its
-/// cached derived metrics ([`GraphContext`]).
+/// lazily-cached derived metrics (weighted and unweighted extremes).
 ///
 /// Everything in here is a deterministic function of the spec's *graph
 /// identity* (family, `n`, `max_weight`, and — for seeded-random families —
 /// the seed), never of the fault plan or workload. The batch engine
-/// ([`crate::batch`]) therefore builds one `SharedSetup` per family cell and
-/// runs every lane-mate against it; the sequential path builds a private one
-/// per scenario. Both paths execute the identical oracle code over it, which
-/// is what makes batch results bit-identical to one-at-a-time results.
+/// ([`crate::batch`]) therefore builds one `SharedSetup` per graph group and
+/// runs every group member against it. The caches are [`OnceLock`]s, so
+/// whichever reader asks first computes and everyone else reads the same
+/// value the direct kernel would return.
 pub struct SharedSetup {
-    ctx: GraphContext,
+    graph: WeightedGraph,
+    extremes: OnceLock<SweepResult>,
+    unweighted: OnceLock<SweepResult>,
 }
 
 impl SharedSetup {
-    /// Build the graph for `spec` and wrap it. Derived metrics stay lazy:
-    /// whichever oracle asks first computes them, later lane-mates reuse.
+    /// Build the graph for `spec`. Derived metrics stay lazy: whichever
+    /// oracle asks first computes them, later group members reuse.
     pub fn build(spec: &ScenarioSpec) -> SharedSetup {
         SharedSetup {
-            ctx: GraphContext::new(spec.build_graph()),
+            graph: spec.build_graph(),
+            extremes: OnceLock::new(),
+            unweighted: OnceLock::new(),
         }
     }
 
     /// The shared graph.
     pub fn graph(&self) -> &WeightedGraph {
-        self.ctx.graph()
+        &self.graph
     }
 
     /// The network parameter `D` as every oracle uses it: the unweighted
     /// diameter clamped to at least 1 (`usize::MAX` when disconnected),
     /// exactly `metrics::unweighted_diameter(g).max(1)`.
     pub fn d(&self) -> usize {
-        self.ctx.unweighted_diameter().unwrap_or(usize::MAX).max(1)
+        self.unweighted_extremes()
+            .diameter
+            .finite()
+            .map_or(usize::MAX, |d| d as usize)
+            .max(1)
     }
 
     /// Cached weighted extremes (`metrics::extremes`).
     pub fn extremes(&self) -> &SweepResult {
-        self.ctx.extremes()
+        self.extremes.get_or_init(|| sweep::extremes(&self.graph))
     }
 
     /// Cached unweighted extremes (`metrics::unweighted_extremes`).
     pub fn unweighted_extremes(&self) -> &SweepResult {
-        self.ctx.unweighted_extremes()
+        self.unweighted
+            .get_or_init(|| sweep::extremes_unweighted(&self.graph))
     }
 }
 
@@ -517,6 +526,39 @@ mod tests {
     fn tolerance_shrinks_with_n() {
         assert!(o1_tolerance(1 << 20) < o1_tolerance(1 << 10));
         assert!(o1_tolerance(16) > 0.0 && o1_tolerance(16) <= 0.25);
+    }
+
+    #[test]
+    fn shared_setup_caches_match_direct_kernels() {
+        use crate::scenario::{Family, FaultSpec, ParMode};
+        use congest_graph::metrics;
+        for seed in 0..5 {
+            let spec = ScenarioSpec {
+                seed,
+                family: Family::ErdosRenyi { p: 0.2 },
+                n: 20,
+                max_weight: 9,
+                faults: FaultSpec::NoFaults,
+                parallelism: ParMode::Sequential,
+                workload: Workload::BaselineExact,
+            }
+            .normalized();
+            let setup = SharedSetup::build(&spec);
+            let g = spec.build_graph();
+            assert_eq!(*setup.extremes(), metrics::extremes(&g));
+            assert_eq!(
+                *setup.unweighted_extremes(),
+                metrics::unweighted_extremes(&g)
+            );
+            assert_eq!(setup.d(), metrics::unweighted_diameter(&g).max(1));
+        }
+        let disconnected = SharedSetup {
+            graph: WeightedGraph::from_edges(4, [(0, 1, 1), (2, 3, 1)]).unwrap(),
+            extremes: OnceLock::new(),
+            unweighted: OnceLock::new(),
+        };
+        assert_eq!(disconnected.d(), usize::MAX);
+        assert!(!disconnected.extremes().is_connected());
     }
 
     #[test]

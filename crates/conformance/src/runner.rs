@@ -49,10 +49,9 @@ pub struct SuiteOptions {
     /// private registry — the report's embedded snapshot is produced
     /// either way; pass one to also read the metrics live.
     pub registry: Option<wdr_metrics::MetricsRegistry>,
-    /// Batch lanes: `None` runs the classic one-at-a-time path;
-    /// `Some(l)` fans graph-grouped scenarios across `l` lanes via
-    /// [`crate::batch`]. Results are bit-identical either way
-    /// (proptest-pinned); only the timings differ.
+    /// Batch lanes: graph-grouped scenarios fan across `l` lanes via
+    /// [`crate::batch`]; `None` means one lane. Results are bit-identical
+    /// at every lane count (proptest-pinned); only the timings differ.
     pub lanes: Option<usize>,
 }
 
@@ -75,7 +74,7 @@ pub struct SuiteReport {
     /// Wall-clock seconds for the whole scenario loop (excludes envelope
     /// fitting and artifact writes).
     pub wall_secs: f64,
-    /// Lanes the run used (`None` = sequential path).
+    /// Lanes the run used (`None` = one lane).
     pub lanes: Option<usize>,
 }
 
@@ -106,7 +105,7 @@ impl SuiteReport {
 /// Deliberately excluded: timings, wall clock, lane count, bench path, and
 /// the envelope's host/timestamp provenance — everything observational.
 /// This is the equality the batch-equivalence proptests and the E12 gate
-/// check between the sequential and batched paths.
+/// check across lane counts and against isolated single-spec runs.
 pub fn fingerprint(report: &SuiteReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -155,26 +154,23 @@ pub fn fingerprint(report: &SuiteReport) -> String {
     out
 }
 
-/// Runs the suite over `specs` — one at a time by default, or through the
-/// [`crate::batch`] engine when [`SuiteOptions::lanes`] is set. The two
-/// paths produce bit-identical reports (see [`fingerprint`]).
+/// Runs the suite over `specs` through the [`crate::batch`] engine on
+/// [`SuiteOptions::lanes`] lanes. Every lane count produces a
+/// bit-identical report (see [`fingerprint`]).
 pub fn run_suite(specs: &[ScenarioSpec], options: &SuiteOptions) -> SuiteReport {
     let registry = options.registry.clone().unwrap_or_default();
     // The mutation hook and metrics sink are thread-local scope guards;
-    // `batch::run_specs` installs them on the calling thread for the
-    // sequential path and inside every lane task for the batched path.
+    // `batch::run_specs` installs them inside every group task.
     let search_metrics = quantum_sim::SearchMetrics::register(&registry, "conformance.quantum");
     let take = options.slice.unwrap_or(specs.len()).min(specs.len());
     let started = Instant::now();
-    let lane_results = batch::run_specs(
+    let (outcomes, timings) = batch::run_specs(
         &specs[..take],
         options.lanes,
         options.mutate,
         &search_metrics,
     );
     let wall_secs = started.elapsed().as_secs_f64();
-    let outcomes = lane_results.outcomes;
-    let timings = lane_results.timings;
     let mut failures = Vec::new();
     for outcome in &outcomes {
         for check in outcome.failures() {
@@ -315,9 +311,9 @@ pub fn render_report(report: &SuiteReport) -> String {
         report.setup_secs(),
         report.execute_secs(),
         report.wall_secs,
-        match report.lanes {
-            Some(l) => format!("{l} lanes"),
-            None => "sequential".to_string(),
+        match report.lanes.unwrap_or(1).max(1) {
+            1 => "1 lane".to_string(),
+            l => format!("{l} lanes"),
         },
         shared
     )

@@ -9,16 +9,18 @@ use congest_graph::{NodeId, WeightedGraph};
 use congest_sim::{primitives, RoundStats, SimConfig, SimError};
 use rand::Rng;
 
-/// Encodes a non-negative `f64` as order-preserving bits (IEEE-754 ordering
-/// trick) so it can ride the `u128` convergecast.
-pub fn f64_to_ordered_bits(x: f64) -> u128 {
-    debug_assert!(x >= 0.0 || x.is_infinite());
-    u128::from(x.to_bits())
+/// Order-preserving `u64` encoding of a non-negative float (including
+/// `+∞`; NaN is tolerated), by the IEEE-754 ordering trick: distances and
+/// eccentricities ride the integer convergecast and the bit-ordered
+/// quantum search this way.
+pub fn ordered_bits(x: f64) -> u64 {
+    debug_assert!(x >= 0.0 || x.is_nan());
+    x.to_bits()
 }
 
-/// Inverse of [`f64_to_ordered_bits`].
-pub fn ordered_bits_to_f64(b: u128) -> f64 {
-    f64::from_bits(b as u64)
+/// Inverse of [`ordered_bits`].
+pub fn from_ordered_bits(b: u64) -> f64 {
+    f64::from_bits(b)
 }
 
 /// The per-skeleton state of Lemma 3.5's `Initialization_i`, plus cost.
@@ -127,7 +129,7 @@ impl SkeletonState {
         let _span = config.telemetry.span("skeleton_evaluate");
         let local = self.combine_local(s, overlay_dist);
         let (tree, tree_stats) = primitives::bfs_tree(g, self.leader, config)?;
-        let values: Vec<u128> = local.iter().map(|&x| f64_to_ordered_bits(x)).collect();
+        let values: Vec<u128> = local.iter().map(|&x| u128::from(ordered_bits(x))).collect();
         let wide = SimConfig {
             bandwidth: congest_sim::Bandwidth::bits(160),
             ..config.clone()
@@ -141,7 +143,7 @@ impl SkeletonState {
             primitives::Aggregate::Max,
         )?;
         stats.absorb(&tree_stats);
-        Ok((ordered_bits_to_f64(bits), stats))
+        Ok((from_ordered_bits(bits as u64), stats))
     }
 
     /// Full evaluation of `ẽ(s)` — Setup then Evaluation — returning the
@@ -204,11 +206,13 @@ mod tests {
 
     #[test]
     fn ordered_bits_roundtrip_and_order() {
-        for x in [0.0f64, 1.5, 1e9, f64::INFINITY] {
-            assert_eq!(ordered_bits_to_f64(f64_to_ordered_bits(x)), x);
+        let xs = [0.0f64, 0.5, 1.0, 1.5, 2.5, 1e9, 1e300, f64::INFINITY];
+        for w in xs.windows(2) {
+            assert!(ordered_bits(w[0]) < ordered_bits(w[1]));
         }
-        assert!(f64_to_ordered_bits(1.0) < f64_to_ordered_bits(2.0));
-        assert!(f64_to_ordered_bits(1e300) < f64_to_ordered_bits(f64::INFINITY));
+        for x in xs {
+            assert_eq!(from_ordered_bits(ordered_bits(x)), x);
+        }
     }
 
     #[test]

@@ -34,8 +34,6 @@
 //!   [`GraphWriter`];
 //! * [`compact`] — [`CompactGraph`], the `u32`-index CSR variant that keeps
 //!   10⁷-edge working sets cache- and RAM-friendly;
-//! * [`context`] — [`context::GraphContext`], the shared-immutable graph +
-//!   cached-metrics bundle the many-seed batch engine fans across lanes;
 //! * [`dot`] — Graphviz emission for the figure-regeneration harness.
 //!
 //! # Examples
@@ -69,7 +67,6 @@
 #![warn(missing_docs)]
 
 pub mod compact;
-pub mod context;
 pub mod contract;
 mod digest;
 mod dist;

@@ -13,6 +13,7 @@
 //! (`2·(T_setup + T_eval)` rounds); each measurement is followed by one
 //! classical verification evaluation (`T_setup + T_eval` rounds).
 
+pub use congest_algos::skeleton::{from_ordered_bits, ordered_bits};
 use quantum_sim::search::{find_above_threshold, OptimizeOutcome, SearchTrace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -87,18 +88,6 @@ pub fn optimize<R: Rng + ?Sized>(
     }
 }
 
-/// Order-preserving `u64` encoding of a non-negative float (including
-/// `+∞`), so `f64` objective values can ride the bit-ordered search.
-pub fn ordered_bits(x: f64) -> u64 {
-    debug_assert!(x >= 0.0 || x.is_nan());
-    x.to_bits()
-}
-
-/// Inverse of [`ordered_bits`].
-pub fn from_ordered_bits(b: u64) -> f64 {
-    f64::from_bits(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,15 +107,6 @@ mod tests {
         };
         assert_eq!(c.charge(t), 100 + (20 + 4) * 10);
         assert_eq!(c.charge_oblivious(5), 100 + 15 * 10);
-    }
-
-    #[test]
-    fn ordered_bits_monotone() {
-        let xs = [0.0, 0.5, 1.0, 2.5, 1e9, f64::INFINITY];
-        for w in xs.windows(2) {
-            assert!(ordered_bits(w[0]) < ordered_bits(w[1]));
-        }
-        assert_eq!(from_ordered_bits(ordered_bits(2.5)), 2.5);
     }
 
     #[test]

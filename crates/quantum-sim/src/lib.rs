@@ -45,5 +45,5 @@ pub mod statevector;
 
 pub use complex::Complex;
 pub use instrument::SearchMetrics;
-pub use search::{OptimizeOutcome, SearchOutcome, SearchSchedule, SearchTrace};
+pub use search::{OptimizeOutcome, SearchOutcome, SearchTrace};
 pub use statevector::StateVector;

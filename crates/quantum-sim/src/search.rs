@@ -17,8 +17,6 @@
 
 use crate::grover::success_probability;
 use rand::Rng;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 /// The accounting record of a quantum search.
 ///
@@ -309,98 +307,19 @@ where
     R: Rng + ?Sized,
     V: Ord,
 {
-    find_above_threshold_scheduled(values, &SearchSchedule::cached(rho, delta), minimize, rng)
-}
-
-/// [`find_above_threshold`] against a precomputed [`SearchSchedule`].
-///
-/// The schedule carries the Lemma 3.1 iteration budget already derived from
-/// `(ρ, δ)`, so callers that run many searches at the same parameters — the
-/// batch engine in particular — pay the budget derivation once per schedule
-/// instead of once per search. The search itself is bit-identical to
-/// [`find_above_threshold`] with the same parameters and RNG stream.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-pub fn find_above_threshold_scheduled<R, V>(
-    values: &[V],
-    schedule: &SearchSchedule,
-    minimize: bool,
-    rng: &mut R,
-) -> OptimizeOutcome
-where
-    R: Rng + ?Sized,
-    V: Ord,
-{
     assert!(!values.is_empty(), "empty value set");
+    assert!(rho > 0.0 && rho <= 1.0, "ρ must be in (0,1]");
+    assert!(delta > 0.0 && delta < 1.0, "δ must be in (0,1)");
     let budget = match crate::mutation::armed() {
         // Mutation self-check (see `crate::mutation`): skipping the Grover
         // amplification phase leaves only the initial uniform measurement.
         Some(crate::mutation::Mutation::SkipGroverPhase) => 0,
-        None => schedule.budget,
+        None => lemma_3_1_budget(rho, delta),
     };
     if minimize {
         durr_hoyer_min(values, rng, budget)
     } else {
         durr_hoyer_max(values, rng, budget)
-    }
-}
-
-/// A precomputed Lemma 3.1 amplification schedule: the `(ρ, δ)` parameters
-/// and the exact iteration budget they derive.
-///
-/// Constructing one via [`SearchSchedule::cached`] memoizes the budget in a
-/// process-wide table keyed on the *bit patterns* of `ρ` and `δ`, so the
-/// stored value is the exact `u64` that [`lemma_3_1_budget`] computes — the
-/// shared schedule is bit-identical to the one-at-a-time derivation. This is
-/// the schedule-reuse API the many-seed batch engine leans on: every lane of
-/// a family cell runs the same `(ρ, δ)` pair, so the derivation happens once
-/// per cell rather than once per (seed × set) search.
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct SearchSchedule {
-    /// The promised marked-mass lower bound `ρ ∈ (0, 1]`.
-    pub rho: f64,
-    /// The allowed failure probability `δ ∈ (0, 1)`.
-    pub delta: f64,
-    /// The derived iteration budget `O(√(log(1/δ)/ρ))`.
-    pub budget: u64,
-}
-
-impl SearchSchedule {
-    /// Derive a schedule directly (no memoization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho ∉ (0, 1]` or `delta ∉ (0, 1)`.
-    pub fn new(rho: f64, delta: f64) -> Self {
-        assert!(rho > 0.0 && rho <= 1.0, "ρ must be in (0,1]");
-        assert!(delta > 0.0 && delta < 1.0, "δ must be in (0,1)");
-        SearchSchedule {
-            rho,
-            delta,
-            budget: lemma_3_1_budget(rho, delta),
-        }
-    }
-
-    /// Derive a schedule through the process-wide memo table: the first call
-    /// for a given `(ρ, δ)` bit pattern computes and stores the budget,
-    /// every later call (from any thread) reads the stored exact value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho ∉ (0, 1]` or `delta ∉ (0, 1)`.
-    pub fn cached(rho: f64, delta: f64) -> Self {
-        assert!(rho > 0.0 && rho <= 1.0, "ρ must be in (0,1]");
-        assert!(delta > 0.0 && delta < 1.0, "δ must be in (0,1)");
-        static CACHE: OnceLock<Mutex<HashMap<(u64, u64), u64>>> = OnceLock::new();
-        let key = (rho.to_bits(), delta.to_bits());
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache.lock().expect("schedule cache poisoned");
-        let budget = *map
-            .entry(key)
-            .or_insert_with(|| lemma_3_1_budget(rho, delta));
-        SearchSchedule { rho, delta, budget }
     }
 }
 
@@ -574,38 +493,6 @@ mod tests {
     fn budget_formula_scales() {
         assert!(lemma_3_1_budget(0.01, 0.1) > lemma_3_1_budget(0.04, 0.1));
         assert!(lemma_3_1_budget(0.01, 0.001) > lemma_3_1_budget(0.01, 0.1));
-    }
-
-    /// The memoized schedule stores the exact budget the direct derivation
-    /// computes — the bit-identity invariant the batch engine relies on.
-    #[test]
-    fn cached_schedule_matches_direct_derivation() {
-        for (rho, delta) in [(0.35, 0.1), (0.02, 0.01), (1.0, 0.5), (0.007, 0.25)] {
-            let direct = SearchSchedule::new(rho, delta);
-            let cached = SearchSchedule::cached(rho, delta);
-            assert_eq!(direct, cached);
-            assert_eq!(cached.budget, lemma_3_1_budget(rho, delta));
-            // Second lookup returns the same stored value.
-            assert_eq!(SearchSchedule::cached(rho, delta), cached);
-        }
-    }
-
-    /// A scheduled search with the same RNG stream is bit-identical to the
-    /// parameter-derived entry point.
-    #[test]
-    fn scheduled_search_is_bit_identical() {
-        use rand::RngCore;
-        let values: Vec<u64> = (0..300).map(|i| (i * 7919) % 1000).collect();
-        let schedule = SearchSchedule::cached(0.05, 0.1);
-        for seed in 0..10u64 {
-            let mut a = ChaCha8Rng::seed_from_u64(seed);
-            let mut b = ChaCha8Rng::seed_from_u64(seed);
-            let direct = find_above_threshold(&values, 0.05, 0.1, seed % 2 == 0, &mut a);
-            let scheduled =
-                find_above_threshold_scheduled(&values, &schedule, seed % 2 == 0, &mut b);
-            assert_eq!(direct, scheduled);
-            assert_eq!(a.next_u64(), b.next_u64(), "RNG streams stayed in lockstep");
-        }
     }
 
     /// An installed [`crate::instrument::SearchMetrics`] bundle sees exactly
