@@ -95,9 +95,11 @@ impl NodeProgram for BoundedDistanceSssp {
 /// Runs Algorithm 2 on `(g, w)` (the weights of `g` itself) and returns
 /// `d(s, ·)` truncated at `limit`, plus statistics.
 ///
-/// The simulator fast-forwards idle tail rounds; the reported round count is
-/// padded to the algorithm's specified `L + 1` so that measured costs match
-/// the paper's schedule.
+/// The network quiesces once no node holds an unsent broadcast and no
+/// message is in flight, which can be before round `L + 1`. Those unsimulated tail rounds are charged as
+/// padding (a [`congest_sim::TraceEvent::PadRounds`] event), so the
+/// reported round count is the algorithm's specified `L + 1` and measured
+/// costs match the paper's schedule.
 ///
 /// # Errors
 ///

@@ -12,6 +12,27 @@
 //! After `O(D + b) + stretch · (maxΔ + (#scales)(L+1) + 1)` physical rounds
 //! — `Õ(D + ℓ/ε + |S|)` — every node `v` knows `d̃^ℓ(s, v)` for every
 //! `s ∈ S`.
+//!
+//! # Wake schedule
+//!
+//! A node has work in few of those physical rounds, so the stretched
+//! program tells the round engine when to step it
+//! ([`congest_sim::Status::Sleep`]). It returns `Running` while its send
+//! queue is non-empty. Otherwise it sleeps until the boundary (first
+//! physical round) of the earliest logical round that can change its state:
+//!
+//! * the next logical round, if messages wait in its buffer;
+//! * each copy's next scale boundary (`rr = 0`: reset, and the source's
+//!   start). These stay eager: a reset the node sleeps through inside a
+//!   crash window would be observable;
+//! * its next scheduled broadcast, logical round `Δ_j + scale·(L+1) + d`
+//!   for a copy whose settled distance `d` it has not yet announced;
+//! * the final boundary, `maxΔ + (#scales)(L+1) + 1`, where it returns
+//!   `Done`.
+//!
+//! A delivery wakes it early. Every wake is strictly in the future, so a
+//! broadcast slot missed while crashed stays missed, exactly as when the
+//! node is stepped every round.
 
 use congest_graph::rounding::{ApproxDist, RoundingScheme};
 use congest_graph::{NodeId, WeightedGraph};
@@ -37,11 +58,13 @@ pub struct MultiSourceResult {
     pub failed: bool,
 }
 
+#[derive(Clone)]
 struct CopyState {
     dist: Option<u64>,
     broadcasted: bool,
 }
 
+#[derive(Clone)]
 struct MultiSourceProgram {
     sources: Vec<NodeId>,
     delays: Vec<u64>,
@@ -60,6 +83,75 @@ struct MultiSourceProgram {
 }
 
 impl MultiSourceProgram {
+    /// The program of one node of `g`, before any round, for the
+    /// `(source, delay)` schedule: every copy unreached.
+    fn new(
+        g: &WeightedGraph,
+        schedule: &[(NodeId, u64)],
+        scheme: RoundingScheme,
+    ) -> MultiSourceProgram {
+        let b = schedule.len();
+        let limit = scheme.threshold().floor() as u64;
+        let num_scales = scheme.max_scale(g.n(), g.max_weight()) + 1;
+        let max_delay = schedule.iter().map(|&(_, d)| d).max().unwrap_or(0);
+        MultiSourceProgram {
+            sources: schedule.iter().map(|&(s, _)| s).collect(),
+            delays: schedule.iter().map(|&(_, d)| d).collect(),
+            scheme,
+            stretch: log2_ceil(g.n()) + 1,
+            limit,
+            num_scales,
+            total_logical: max_delay + u64::from(num_scales) * (limit + 1) + 1,
+            copies: (0..b)
+                .map(|_| CopyState {
+                    dist: None,
+                    broadcasted: false,
+                })
+                .collect(),
+            best: vec![f64::INFINITY; b],
+            best_repr: vec![None; b],
+            queue: VecDeque::new(),
+            buffer: Vec::new(),
+            failed: false,
+        }
+    }
+
+    /// The first logical round after `logical` whose boundary can change
+    /// this node's state (see the module docs' wake schedule). Boundaries
+    /// in between would find an empty buffer, no copy at `rr = 0` and no
+    /// broadcast due: no-ops.
+    fn next_event(&self, logical: u64) -> u64 {
+        let next = logical + 1;
+        if !self.buffer.is_empty() {
+            return next;
+        }
+        let scale_len = self.limit + 1;
+        let t_copy = u64::from(self.num_scales) * scale_len;
+        let mut wake = self.total_logical;
+        for (j, st) in self.copies.iter().enumerate() {
+            let start = self.delays[j];
+            if next <= start {
+                wake = wake.min(start);
+                continue;
+            }
+            let rho = next - start;
+            if rho >= t_copy {
+                continue;
+            }
+            let reset = start + rho.div_ceil(scale_len) * scale_len;
+            if reset < start + t_copy {
+                wake = wake.min(reset);
+            }
+            let scale_start = start + rho / scale_len * scale_len;
+            if let (false, Some(d)) = (st.broadcasted, st.dist) {
+                if d > 0 && scale_start + d >= next {
+                    wake = wake.min(scale_start + d);
+                }
+            }
+        }
+        wake
+    }
+
     fn copy_round(&self, logical: u64, j: usize) -> Option<u64> {
         let start = self.delays[j];
         if logical < start {
@@ -184,12 +276,22 @@ impl NodeProgram for MultiSourceProgram {
         if let Some(msg) = self.queue.pop_front() {
             mb.broadcast(ctx, msg);
         }
-        Status::Running
+        if self.queue.is_empty() {
+            Status::Sleep(self.next_event(logical) as usize * self.stretch + 1)
+        } else {
+            Status::Running
+        }
     }
 
     fn finish(self, _ctx: &NodeCtx) -> (Vec<ApproxDist>, Vec<Option<(u32, u64)>>, bool) {
         (self.best, self.best_repr, self.failed)
     }
+}
+
+/// `⌈log₂ n⌉`, at least 1: the delay range is `b` times it, and a logical
+/// round is stretched to one more physical round than it.
+fn log2_ceil(n: usize) -> usize {
+    ((n.max(2) as f64).log2().ceil() as usize).max(1)
 }
 
 /// Runs Algorithm 3: every node learns `d̃^ℓ(s, ·)` for every `s ∈ sources`.
@@ -217,8 +319,7 @@ pub fn multi_source_bounded_hop<R: Rng + ?Sized>(
     assert!(sources.iter().all(|&s| s < g.n()), "source out of range");
     let n = g.n();
     let b = sources.len();
-    let log_n = ((n.max(2) as f64).log2().ceil() as usize).max(1);
-    let stretch = log_n + 1;
+    let log_n = log2_ceil(n);
     let mut stats = RoundStats::default();
     let telemetry = config.telemetry.clone();
     let _algo_span = telemetry.span("multi_source");
@@ -253,38 +354,15 @@ pub fn multi_source_bounded_hop<R: Rng + ?Sized>(
     debug_assert_eq!(schedule.len(), b);
 
     // Phase 2: the stretched concurrent execution.
-    let limit = scheme.threshold().floor() as u64;
-    let num_scales = scheme.max_scale(n, g.max_weight()) + 1;
-    let max_delay = delays.iter().copied().max().unwrap_or(0);
-    let total_logical = max_delay + u64::from(num_scales) * (limit + 1) + 1;
+    let program = MultiSourceProgram::new(g, &schedule, scheme);
+    let (stretch, total_logical) = (program.stretch, program.total_logical);
     let cfg = SimConfig {
         bandwidth: congest_sim::Bandwidth::standard(n, scheme.rounded_weight(0, g.max_weight())),
         ..config.clone()
     };
     let exec_span = telemetry.span("stretched_execution");
     let (out, mut main_stats) =
-        congest_sim::run_phase(g, leader, &cfg, "multi_source_sssp", |_, _| {
-            MultiSourceProgram {
-                sources: schedule.iter().map(|&(s, _)| s).collect(),
-                delays: schedule.iter().map(|&(_, d)| d).collect(),
-                scheme,
-                stretch,
-                limit,
-                num_scales,
-                total_logical,
-                copies: (0..b)
-                    .map(|_| CopyState {
-                        dist: None,
-                        broadcasted: false,
-                    })
-                    .collect(),
-                best: vec![f64::INFINITY; b],
-                best_repr: vec![None; b],
-                queue: VecDeque::new(),
-                buffer: Vec::new(),
-                failed: false,
-            }
-        })?;
+        congest_sim::run_phase(g, leader, &cfg, "multi_source_sssp", |_, _| program.clone())?;
     let schedule_rounds = total_logical as usize * stretch;
     let padded = schedule_rounds.saturating_sub(main_stats.rounds);
     if padded > 0 {
@@ -319,6 +397,8 @@ mod tests {
     use super::*;
     use congest_graph::generators;
     use congest_graph::rounding::approx_hop_bounded;
+    use congest_sim::{FaultPlan, Network, Quality};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -390,6 +470,140 @@ mod tests {
         // d̃(v, v) = 0 for every v.
         for v in 0..6 {
             assert_eq!(res.approx[v][v], 0.0);
+        }
+    }
+
+    /// [`MultiSourceProgram`] with every `Sleep` reported as `Running`, so
+    /// the engine steps it in every round.
+    struct Dense(MultiSourceProgram);
+
+    impl NodeProgram for Dense {
+        type Msg = (u64, u64);
+        type Output = <MultiSourceProgram as NodeProgram>::Output;
+
+        fn start(&mut self, ctx: &NodeCtx, mb: &mut Mailbox<(u64, u64)>) {
+            self.0.start(ctx, mb);
+        }
+
+        fn round(
+            &mut self,
+            ctx: &NodeCtx,
+            round: usize,
+            inbox: &[(NodeId, (u64, u64))],
+            mb: &mut Mailbox<(u64, u64)>,
+        ) -> Status {
+            match self.0.round(ctx, round, inbox, mb) {
+                Status::Sleep(_) => Status::Running,
+                status => status,
+            }
+        }
+
+        fn finish(self, ctx: &NodeCtx) -> Self::Output {
+            self.0.finish(ctx)
+        }
+    }
+
+    /// What one stretched execution observably produces: `approx` as bits,
+    /// `repr`, `failed` and quality per node, then the run's statistics.
+    type Observed = (
+        Vec<(Vec<u64>, Vec<Option<(u32, u64)>>, bool, Quality)>,
+        RoundStats,
+    );
+
+    fn observe<P>(g: &WeightedGraph, cfg: &SimConfig, make: impl Fn() -> P) -> Observed
+    where
+        P: NodeProgram<Output = (Vec<ApproxDist>, Vec<Option<(u32, u64)>>, bool)>,
+    {
+        let mut net = Network::new(g, 0, cfg.clone(), |_, _| make());
+        let out = net
+            .run_with_quality()
+            .expect("stretched execution succeeds");
+        let out = out
+            .into_iter()
+            .map(|((best, repr, failed), quality)| {
+                (
+                    best.iter().map(|d| d.to_bits()).collect(),
+                    repr,
+                    failed,
+                    quality,
+                )
+            })
+            .collect();
+        (out, net.stats().clone())
+    }
+
+    /// A stretched execution's inputs: graph, `(source, delay)` schedule,
+    /// rounding scheme and fault plan.
+    fn arb_stretched() -> impl Strategy<
+        Value = (
+            WeightedGraph,
+            Vec<(NodeId, u64)>,
+            RoundingScheme,
+            Option<FaultPlan>,
+        ),
+    > {
+        (
+            4usize..20,
+            any::<u64>(),
+            1usize..6,
+            2usize..6,
+            0usize..5,
+            any::<u64>(),
+        )
+            .prop_map(|(n, seed, b, ell, faultiness, fseed)| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let g = generators::erdos_renyi_connected(n, 0.3, 6, &mut rng);
+                let delay_cap = (b * log2_ceil(n)) as u64;
+                let schedule = (0..b.min(n))
+                    .map(|_| (rng.gen_range(0..n), rng.gen_range(0..=delay_cap)))
+                    .collect();
+                let scheme = RoundingScheme::new(ell, 0.5);
+                let node = rng.gen_range(0..n);
+                // FaultSpec::Crash windows open in rounds 1..=6 for 1..=8
+                // rounds; the wide and permanent ones cross many wakes.
+                let plan = match faultiness {
+                    0 => None,
+                    1 => {
+                        let from: usize = rng.gen_range(1..=6);
+                        Some(FaultPlan::new(fseed).with_crash(
+                            node,
+                            from,
+                            Some(from + rng.gen_range(1..=8usize)),
+                        ))
+                    }
+                    2 => {
+                        let from: usize = rng.gen_range(1..400);
+                        Some(FaultPlan::new(fseed).with_crash(
+                            node,
+                            from,
+                            Some(from + rng.gen_range(1..300usize)),
+                        ))
+                    }
+                    3 => Some(FaultPlan::new(fseed).with_crash(node, rng.gen_range(1..600), None)),
+                    _ => Some(FaultPlan::new(fseed).with_drop_rate(0.2)),
+                };
+                (g, schedule, scheme, plan)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Sleeping between events changes nothing observable: the same
+        /// estimates, wire representations, failure flags, per-node
+        /// qualities and statistics as stepping every node every round.
+        #[test]
+        fn sleeping_multi_source_matches_dense(case in arb_stretched()) {
+            let (g, schedule, scheme, plan) = case;
+            let w = scheme.rounded_weight(0, g.max_weight());
+            let mut cfg = SimConfig::standard(g.n(), w).with_message_log();
+            if let Some(plan) = plan {
+                cfg = cfg.with_faults(plan);
+            }
+            let program = MultiSourceProgram::new(&g, &schedule, scheme);
+            let sleeping = observe(&g, &cfg, || program.clone());
+            let dense = observe(&g, &cfg, || Dense(program.clone()));
+            prop_assert_eq!(sleeping, dense);
         }
     }
 }

@@ -45,6 +45,10 @@ pub struct EmbeddedOverlay {
     pub retried: bool,
 }
 
+/// How many times [`embed_overlay`] runs Algorithm 3 before giving up on
+/// its congestion failure.
+pub const MULTI_SOURCE_ATTEMPTS: usize = 5;
+
 /// Runs Algorithms 3 + 4: multi-source bounded-hop SSSP from the skeleton,
 /// then the `k`-shortest-edges broadcast embedding `(G''_S, w''_S)`.
 ///
@@ -54,7 +58,9 @@ pub struct EmbeddedOverlay {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors; returns the last error if all retries fail.
+/// Propagates simulator errors, and returns
+/// [`SimError::CongestionPersisted`] if the congestion failure persists
+/// through all [`MULTI_SOURCE_ATTEMPTS`] attempts.
 ///
 /// # Panics
 ///
@@ -79,7 +85,7 @@ pub fn embed_overlay<R: Rng + ?Sized>(
     let mut stats = RoundStats::default();
     let mut retried = false;
     let mut ms: Option<MultiSourceResult> = None;
-    for _attempt in 0..5 {
+    for _attempt in 0..MULTI_SOURCE_ATTEMPTS {
         let res = multi_source_bounded_hop(g, leader, &sorted, scheme, config, rng)?;
         stats.absorb(&res.stats);
         if res.failed {
@@ -89,7 +95,10 @@ pub fn embed_overlay<R: Rng + ?Sized>(
         ms = Some(res);
         break;
     }
-    let ms = ms.expect("multi-source congestion failure persisted across retries");
+    let ms = ms.ok_or(SimError::CongestionPersisted {
+        phase: "multi_source",
+        attempts: MULTI_SOURCE_ATTEMPTS,
+    })?;
 
     // Each skeleton node S[i] holds row i of w'. In a fault-free network
     // d̃^ℓ is exactly symmetric; under injected message drops the two
@@ -282,6 +291,37 @@ mod tests {
 
     fn cfg(g: &WeightedGraph) -> SimConfig {
         SimConfig::standard(g.n(), g.max_weight()).with_max_rounds(50_000_000)
+    }
+
+    /// A generator stuck at zero: every random delay Algorithm 3 draws is 0.
+    struct Zeros;
+
+    impl rand::RngCore for Zeros {
+        fn next_u32(&mut self) -> u32 {
+            0
+        }
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn persistent_congestion_is_a_typed_error() {
+        // Fifteen leaf sources with zero delays and equal weights: the hub
+        // settles all fifteen copies in one logical round, far more than
+        // its ⌈log₂ 16⌉ + 1 = 5 slots, on every attempt.
+        let g = generators::star(16, 3);
+        let skeleton: Vec<NodeId> = (1..16).collect();
+        let scheme = RoundingScheme::new(4, 0.5);
+        let err = embed_overlay(&g, 0, &skeleton, scheme, 2, &cfg(&g), &mut Zeros).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::CongestionPersisted {
+                phase: "multi_source",
+                attempts: MULTI_SOURCE_ATTEMPTS,
+            }
+        );
+        assert!(err.to_string().contains("all 5 attempts"));
     }
 
     #[test]

@@ -311,6 +311,19 @@ impl FaultOracle {
             c.node == node && round >= c.from_round && c.until_round.is_none_or(|u| round < u)
         })
     }
+
+    /// The first round after `round` in which some node's crash state may
+    /// differ from the round before (a window's `from_round` or
+    /// `until_round`); `None` if no window opens or closes after `round`.
+    /// The round engine never jumps across it.
+    pub fn next_crash_change(&self, round: usize) -> Option<usize> {
+        self.crashes
+            .iter()
+            .flat_map(|c| [Some(c.from_round), c.until_round])
+            .flatten()
+            .filter(|&r| r > round)
+            .min()
+    }
 }
 
 #[cfg(test)]
@@ -396,6 +409,10 @@ mod tests {
         assert!(oracle.node_alive(4, 9));
         assert!(!oracle.node_alive(4, 1_000_000));
         assert!(oracle.node_alive(0, 1));
+        assert_eq!(oracle.next_crash_change(0), Some(3));
+        assert_eq!(oracle.next_crash_change(3), Some(6));
+        assert_eq!(oracle.next_crash_change(6), Some(10));
+        assert_eq!(oracle.next_crash_change(10), None);
     }
 
     #[test]

@@ -192,12 +192,25 @@ impl Bandwidth {
 }
 
 /// What a node does at the end of a round.
+///
+/// [`Status::Running`] and [`Status::Done`] nodes are stepped in every
+/// round; only [`Status::Sleep`] lets the round engine skip a node. See
+/// DESIGN.md §"Sleeping nodes and jumped rounds".
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Status {
     /// Keep participating in subsequent rounds.
     Running,
     /// This node has finished the algorithm (it still relays nothing).
     Done,
+    /// Skip this node until round `until` (1-based), or until a message is
+    /// delivered to it, whichever comes first. The node counts as not done.
+    ///
+    /// A program may return this only when the rounds it skips would have
+    /// been no-ops: being stepped in them, with an empty inbox, must neither
+    /// change its state nor send. The run is then bit-identical to one that
+    /// reports [`Status::Running`] instead. A wake at or before the next
+    /// round means "step me next round", exactly like `Running`.
+    Sleep(usize),
 }
 
 /// Default cap on [`RoundStats::message_log`] entries; see
@@ -487,6 +500,15 @@ pub enum SimError {
         /// The node whose output was required but missing.
         node: NodeId,
     },
+    /// A randomized phase hit its low-probability failure on every attempt
+    /// it was allowed — e.g. Algorithm 3's per-logical-round congestion
+    /// bound, retried with fresh random delays.
+    CongestionPersisted {
+        /// The phase that kept failing.
+        phase: &'static str,
+        /// How many attempts were made (each one's rounds are charged).
+        attempts: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -512,6 +534,12 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "phase '{phase}' quiesced without node {node} reaching its result (crashed under faults?)"
+                )
+            }
+            SimError::CongestionPersisted { phase, attempts } => {
+                write!(
+                    f,
+                    "phase '{phase}' exceeded its congestion bound on all {attempts} attempts"
                 )
             }
         }
@@ -607,6 +635,14 @@ mod tests {
         };
         assert!(e.to_string().contains("within 10 rounds"));
         assert!(e.to_string().contains("10 executed"));
+        let e = SimError::CongestionPersisted {
+            phase: "multi_source",
+            attempts: 5,
+        };
+        assert_eq!(
+            e.to_string(),
+            "phase 'multi_source' exceeded its congestion bound on all 5 attempts"
+        );
     }
 
     #[test]

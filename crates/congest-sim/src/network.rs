@@ -7,7 +7,8 @@ use crate::model::{
 use crate::telemetry::{BandwidthProfile, TraceEvent};
 use congest_graph::{NodeId, WeightedGraph};
 use serde::Serialize;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 #[cfg(feature = "parallel")]
 use crate::model::Parallelism;
@@ -32,8 +33,9 @@ pub trait NodeProgram: MaybeSend {
     /// Called once before round 1; may already send messages.
     fn start(&mut self, ctx: &NodeCtx, mailbox: &mut Mailbox<Self::Msg>);
 
-    /// Called every round with the messages received this round
-    /// (`(sender, message)` pairs). Returns the node's status.
+    /// Called with the messages received this round (`(sender, message)`
+    /// pairs) in every round the node is stepped: every round, unless it
+    /// last returned [`Status::Sleep`]. Returns the node's status.
     fn round(
         &mut self,
         ctx: &NodeCtx,
@@ -133,12 +135,33 @@ pub struct Network<P: NodeProgram> {
     ctxs: Vec<NodeCtx>,
     programs: Vec<P>,
     status: Vec<Status>,
+    /// Nodes whose last status is [`Status::Done`], one bit per node.
+    done: Vec<u64>,
+    /// Nodes stepped next round, one bit per node: [`Status::Running`] and
+    /// [`Status::Done`] keep their bit, [`Status::Sleep`] clears it until
+    /// the wake comes due or a message is delivered.
+    awake: Vec<u64>,
+    /// Pending wakes `(round, node, ticket)`. An entry is live only while
+    /// `ticket[node]` still holds its ticket: every new sleep takes a fresh
+    /// ticket, so an entry left behind by a node that a delivery woke early
+    /// is skipped when popped, or dropped by [`Network::compact_wakes`].
+    wakes: BinaryHeap<Reverse<(usize, NodeId, u32)>>,
+    /// Each node's ticket for its latest sleep.
+    ticket: Vec<u32>,
+    /// The live awake nodes of the round executing, ascending: the list
+    /// the parallel compute phase cuts into runs.
+    #[cfg(feature = "parallel")]
+    stepped: Vec<NodeId>,
     /// Messages to deliver next round: `pending[v] = (from, msg)*`.
     /// Double-buffered with `inboxes`: the two arenas swap every round and
     /// are recycled via `clear()`, so a steady-state round allocates nothing.
     pending: Vec<Vec<(NodeId, P::Msg)>>,
+    /// The receivers whose `pending` arena is non-empty, in first-use order.
+    pending_to: Vec<NodeId>,
     /// Messages being delivered this round (the other arena half).
     inboxes: Vec<Vec<(NodeId, P::Msg)>>,
+    /// The receivers whose `inboxes` arena is non-empty.
+    inbox_to: Vec<NodeId>,
     /// One pre-owned outbox per node, drained in place by the merge phase.
     mailboxes: Vec<Mailbox<P::Msg>>,
     /// Per-destination accounting for the sender currently merging.
@@ -160,10 +183,42 @@ pub struct Network<P: NodeProgram> {
     lost_from: Vec<BTreeSet<NodeId>>,
     /// Crash state of each node in the round most recently executed.
     crashed_now: Vec<bool>,
+    /// How many entries of `crashed_now` are set.
+    crashed: usize,
+    /// The next round whose crash state may differ from the last one's (a
+    /// crash-window boundary); `usize::MAX` if none, or without faults.
+    crash_check: usize,
     /// `true` for nodes that were crashed in at least one executed round.
     ever_crashed: Vec<bool>,
     /// Whether the one-time message-log truncation warning fired.
     log_truncated: bool,
+}
+
+/// The set bits of one bitset word, ascending, numbered from `base`.
+struct Bits {
+    rest: u64,
+    base: usize,
+}
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.rest == 0 {
+            return None;
+        }
+        let bit = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some(self.base + bit)
+    }
+}
+
+/// The set bits of a bitset, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &rest)| Bits { rest, base: i * 64 })
 }
 
 /// Bits and message count one sender put on one channel this round; the
@@ -235,6 +290,8 @@ impl<P: NodeProgram> Network<P> {
             .profile_channels
             .then(|| BandwidthProfile::new(config.bandwidth.get()));
         let faults = config.faults.as_deref().map(FaultPlan::compile);
+        // Round 1 computes the crash state of a faulted run.
+        let crash_check = if faults.is_some() { 1 } else { usize::MAX };
         let max_degree = ctxs.iter().map(NodeCtx::degree).max().unwrap_or(0);
         // Outboxes start sized for one broadcast; inbox arenas grow to their
         // high-water mark during warm-up and are then recycled in place.
@@ -242,12 +299,24 @@ impl<P: NodeProgram> Network<P> {
             .iter()
             .map(|c| Mailbox::with_capacity(c.degree()))
             .collect();
+        let mut awake = vec![0u64; n.div_ceil(64)];
+        for v in 0..n {
+            awake[v / 64] |= 1 << (v % 64);
+        }
         Network {
             ctxs,
             programs,
             status: vec![Status::Running; n],
+            done: vec![0; awake.len()],
+            awake,
+            wakes: BinaryHeap::new(),
+            ticket: vec![0; n],
+            #[cfg(feature = "parallel")]
+            stepped: Vec::with_capacity(n),
             pending: (0..n).map(|_| Vec::new()).collect(),
+            pending_to: Vec::with_capacity(n),
             inboxes: (0..n).map(|_| Vec::new()).collect(),
+            inbox_to: Vec::with_capacity(n),
             mailboxes,
             per_channel: Vec::with_capacity(max_degree),
             chan_slot: vec![0; max_degree],
@@ -259,6 +328,8 @@ impl<P: NodeProgram> Network<P> {
             faults,
             lost_from: vec![BTreeSet::new(); n],
             crashed_now: vec![false; n],
+            crashed: 0,
+            crash_check,
             ever_crashed: vec![false; n],
             log_truncated: false,
         }
@@ -408,6 +479,9 @@ impl<P: NodeProgram> Network<P> {
                     continue;
                 }
             }
+            if self.pending[to].is_empty() {
+                self.pending_to.push(to);
+            }
             self.pending[to].push((from, msg));
         }
         Ok(())
@@ -440,24 +514,33 @@ impl<P: NodeProgram> Network<P> {
         }
     }
 
-    /// Executes one synchronous round; returns `true` if the network is
-    /// quiescent afterwards (all programs [`Status::Done`] and no messages in
-    /// flight).
+    /// Executes the next round that has work; returns `true` if the network
+    /// is quiescent afterwards (all programs [`Status::Done`] and no
+    /// messages in flight).
     ///
-    /// Each round runs in two phases. **Compute**: every live node's
-    /// [`NodeProgram::round`] executes against its own inbox and its own
-    /// pre-owned outbox — no shared state, so under the `parallel` feature
-    /// (with [`crate::Parallelism::Parallel`]) the nodes fan across a thread
-    /// pool. **Merge**: outboxes drain into the per-destination inbox arenas
-    /// in ascending sender order, where bandwidth accounting, telemetry, and
-    /// fault decisions happen single-threaded. Fault decisions are pure
-    /// hashes of `(seed, round, edge, message index)`, so the merge — and
-    /// with it every output, statistic, and trace event — is bit-identical
-    /// however the compute phase was scheduled.
+    /// Each round runs in two phases. **Compute**: every live node that is
+    /// awake — not [`Status::Sleep`]ing, or woken by its wake round or by a
+    /// delivery — runs [`NodeProgram::round`] against its own inbox and its
+    /// own pre-owned outbox. Nothing is shared, so under the `parallel`
+    /// feature (with [`crate::Parallelism::Parallel`]) the nodes fan across
+    /// a thread pool. **Merge**: outboxes drain into the per-destination
+    /// inbox arenas in ascending sender order, where bandwidth accounting,
+    /// telemetry, and fault decisions happen single-threaded. Fault
+    /// decisions are pure hashes of `(seed, round, edge, message index)`,
+    /// so the merge — and with it every output, statistic, and trace event
+    /// — is bit-identical however the compute phase was scheduled.
+    ///
+    /// When no live node is awake and no message is in flight, the rounds
+    /// up to the earliest wake are **jumped**: they count in
+    /// [`RoundStats::rounds`] (and, with telemetry on, each still emits an
+    /// empty [`TraceEvent::RoundCompleted`]) but step nobody. A jump never
+    /// crosses a crash-window boundary or `max_rounds`. See DESIGN.md
+    /// §"Sleeping nodes and jumped rounds".
     ///
     /// # Errors
     ///
-    /// Propagates adjacency and bandwidth violations.
+    /// Propagates adjacency and bandwidth violations, and
+    /// [`SimError::RoundLimitExceeded`] once `max_rounds` have executed.
     pub fn step(&mut self) -> Result<bool, SimError> {
         let messages_before = self.stats.messages;
         let bits_before = self.stats.bits;
@@ -471,6 +554,8 @@ impl<P: NodeProgram> Network<P> {
             for v in 0..self.n() {
                 self.dispatch(v, 1)?;
             }
+        } else if self.pending_to.is_empty() && ones(&self.awake).all(|v| self.crashed_now[v]) {
+            self.jump();
         }
         let round = self.stats.rounds + 1;
         if round > self.config.max_rounds {
@@ -479,50 +564,100 @@ impl<P: NodeProgram> Network<P> {
                 rounds_executed: self.stats.rounds,
             });
         }
-        if let Some(oracle) = &self.faults {
-            for v in 0..self.ctxs.len() {
-                let crashed = !oracle.node_alive(v, round);
-                if crashed != self.crashed_now[v] {
-                    self.config.telemetry.emit_with(|| {
-                        if crashed {
-                            TraceEvent::NodeCrashed { node: v, round }
-                        } else {
-                            TraceEvent::NodeRecovered { node: v, round }
-                        }
-                    });
+        // Crash state changes only at crash-window boundaries: recompute
+        // it there, and in the rounds between charge the same crashed set.
+        if round >= self.crash_check {
+            if let Some(oracle) = &self.faults {
+                self.crash_check = oracle.next_crash_change(round).unwrap_or(usize::MAX);
+                self.crashed = 0;
+                for v in 0..self.ctxs.len() {
+                    let crashed = !oracle.node_alive(v, round);
+                    if crashed != self.crashed_now[v] {
+                        self.config.telemetry.emit_with(|| {
+                            if crashed {
+                                TraceEvent::NodeCrashed { node: v, round }
+                            } else {
+                                TraceEvent::NodeRecovered { node: v, round }
+                            }
+                        });
+                    }
+                    self.crashed_now[v] = crashed;
+                    if crashed {
+                        self.ever_crashed[v] = true;
+                        self.crashed += 1;
+                    }
                 }
-                self.crashed_now[v] = crashed;
-                if crashed {
-                    self.ever_crashed[v] = true;
-                    self.stats.resilience.crashed_node_rounds += 1;
-                }
+            }
+        }
+        self.stats.resilience.crashed_node_rounds += self.crashed as u64;
+        // Wakes that came due, then every receiver of a delivery.
+        while let Some(&Reverse((at, v, ticket))) = self.wakes.peek() {
+            if at > round {
+                break;
+            }
+            self.wakes.pop();
+            if self.ticket[v] == ticket {
+                self.wake(v);
             }
         }
         // Flip the double buffer: last round's accumulation arena becomes
         // this round's inboxes, and the cleared former inboxes take over as
         // the accumulation arena. Capacities persist across the swap.
         std::mem::swap(&mut self.inboxes, &mut self.pending);
-        self.stats.rounds = round;
-        self.compute(round);
-        let mut merged = Ok(());
-        for v in 0..self.n() {
-            // A crashed node executed nothing this round (its outbox is
-            // empty; messages addressed to it were already discarded at
-            // dispatch time) and its program state is preserved for when
-            // (if) the crash window closes.
-            if self.crashed_now[v] {
-                continue;
-            }
-            if let Err(err) = self.dispatch(v, round + 1) {
-                merged = Err(err);
-                break;
-            }
+        std::mem::swap(&mut self.inbox_to, &mut self.pending_to);
+        for i in 0..self.inbox_to.len() {
+            self.wake(self.inbox_to[i]);
         }
+        self.stats.rounds = round;
+        // A crashed node executes nothing (its outbox stays empty; messages
+        // addressed to it were already discarded at dispatch time) and its
+        // program state is preserved for when (if) the crash window closes.
+        // An awake crashed node keeps its bit and is stepped in its first
+        // live round.
+        self.compute(round);
+        // Drain the stepped nodes' outboxes, and fold their statuses into
+        // the done and awake bitsets (a word at a time, in registers).
+        let mut merged = Ok(());
+        'merge: for i in 0..self.awake.len() {
+            let (mut awake, mut done) = (self.awake[i], self.done[i]);
+            for v in (Bits {
+                rest: awake,
+                base: i * 64,
+            }) {
+                if self.crashed_now[v] {
+                    continue;
+                }
+                let bit = 1 << (v % 64);
+                match self.status[v] {
+                    Status::Done => done |= bit,
+                    status => {
+                        done &= !bit;
+                        if let Status::Sleep(until) = status {
+                            if until > round + 1 {
+                                awake &= !bit;
+                                self.ticket[v] = self.ticket[v].wrapping_add(1);
+                                self.wakes.push(Reverse((until, v, self.ticket[v])));
+                            }
+                        }
+                    }
+                }
+                // Most stepped nodes send nothing; skip the call for them.
+                if !self.mailboxes[v].out.is_empty() {
+                    if let Err(err) = self.dispatch(v, round + 1) {
+                        merged = Err(err);
+                        break 'merge;
+                    }
+                }
+            }
+            (self.awake[i], self.done[i]) = (awake, done);
+        }
+        self.compact_wakes();
         // Recycle the delivery arena even when the merge aborted, so the
         // network's buffers stay consistent for post-mortem inspection.
-        for inbox in &mut self.inboxes {
-            inbox.clear();
+        for &v in &self.inbox_to {
+            self.inboxes[v].clear();
         }
+        self.inbox_to.clear();
         merged?;
         // Attribute everything sent while executing this round (including
         // `start` sends on the first step) to this round's event, so the
@@ -540,67 +675,142 @@ impl<P: NodeProgram> Network<P> {
             });
         // A crashed node cannot act, so it does not hold up quiescence; if
         // the network settles while it is down, its quality is `Failed`.
-        let quiescent = self
-            .status
-            .iter()
-            .zip(&self.crashed_now)
-            .all(|(&s, &crashed)| s == Status::Done || crashed)
-            && self.pending.iter().all(Vec::is_empty);
+        let quiescent = self.pending_to.is_empty() && {
+            let done: usize = self.done.iter().map(|w| w.count_ones() as usize).sum();
+            let not_done = self.n() - done;
+            not_done == 0
+                || not_done <= self.crashed
+                    && self
+                        .status
+                        .iter()
+                        .zip(&self.crashed_now)
+                        .all(|(&s, &crashed)| s == Status::Done || crashed)
+        };
         Ok(quiescent)
     }
 
-    /// The compute phase: runs every live node's [`NodeProgram::round`],
-    /// each reading only its own inbox and writing only its own outbox.
+    /// Marks `v` awake (stepped this round if live). A pending heap entry
+    /// stays live: if it pops while `v` is still awake it changes nothing.
+    fn wake(&mut self, v: NodeId) {
+        self.awake[v / 64] |= 1 << (v % 64);
+    }
+
+    /// Drops the heap entries whose ticket is stale once they could
+    /// outnumber the live ones (at most one per node). Done in place, so
+    /// the heap stays within about `2n` entries without allocating.
+    fn compact_wakes(&mut self) {
+        if self.wakes.len() > 2 * self.ticket.len() + 64 {
+            let ticket = &self.ticket;
+            self.wakes
+                .retain(|&Reverse((_, v, entry))| ticket[v] == entry);
+        }
+    }
+
+    /// Counts the idle rounds before the next one with work: the earliest
+    /// live wake, the next crash-window boundary, or the round cap,
+    /// whichever comes first. Nothing runs in them, so each contributes
+    /// only its round, its crashed node-rounds and (with telemetry on) an
+    /// empty [`TraceEvent::RoundCompleted`].
+    fn jump(&mut self) {
+        let last = self.stats.rounds;
+        let mut target = self
+            .config
+            .max_rounds
+            .saturating_add(1)
+            .min(self.crash_check);
+        while let Some(&Reverse((at, v, ticket))) = self.wakes.peek() {
+            if self.ticket[v] == ticket {
+                target = target.min(at);
+                break;
+            }
+            self.wakes.pop();
+        }
+        if target <= last + 1 {
+            return;
+        }
+        self.stats.resilience.crashed_node_rounds += (self.crashed * (target - 1 - last)) as u64;
+        if self.config.telemetry.is_enabled() {
+            for round in last + 1..target {
+                self.config
+                    .telemetry
+                    .emit_with(|| TraceEvent::RoundCompleted {
+                        round,
+                        messages: 0,
+                        bits: 0,
+                        max_channel_bits: 0,
+                    });
+            }
+        }
+        self.stats.rounds = target - 1;
+    }
+
+    /// The compute phase: runs every live awake node's
+    /// [`NodeProgram::round`], each reading only its own inbox and writing
+    /// only its own outbox.
     fn compute(&mut self, round: usize) {
         #[cfg(feature = "parallel")]
         if self.config.parallelism == Parallelism::Parallel {
             self.compute_parallel(round);
             return;
         }
-        for v in 0..self.ctxs.len() {
-            if self.crashed_now[v] {
-                continue;
+        for i in 0..self.awake.len() {
+            for v in (Bits {
+                rest: self.awake[i],
+                base: i * 64,
+            }) {
+                if !self.crashed_now[v] {
+                    self.status[v] = self.programs[v].round(
+                        &self.ctxs[v],
+                        round,
+                        &self.inboxes[v],
+                        &mut self.mailboxes[v],
+                    );
+                }
             }
-            self.status[v] = self.programs[v].round(
-                &self.ctxs[v],
-                round,
-                &self.inboxes[v],
-                &mut self.mailboxes[v],
-            );
         }
     }
 
-    /// Fans the compute phase across the ambient thread pool in contiguous
-    /// node chunks. Safe because each node's slice elements (program,
-    /// status, outbox) are disjoint `&mut`, and everything shared (ctxs,
-    /// inboxes, crash flags) is read-only; equivalent to the sequential
-    /// loop because no node can observe another's round-`r` activity.
+    /// Fans the compute phase across the ambient thread pool: the live
+    /// awake nodes are cut into equal-count runs, one spawn each, and every
+    /// run takes the contiguous slice of programs, statuses and outboxes
+    /// its ids span. Safe because those slices are disjoint `&mut`, and
+    /// everything shared (ctxs, inboxes) is read-only; equivalent to the
+    /// sequential loop because no node can observe another's round-`r`
+    /// activity.
     #[cfg(feature = "parallel")]
     fn compute_parallel(&mut self, round: usize) {
-        let n = self.ctxs.len();
+        self.stepped.clear();
+        self.stepped
+            .extend(ones(&self.awake).filter(|&v| !self.crashed_now[v]));
         let threads = rayon::current_num_threads().max(1);
-        let chunk = n.div_ceil(threads);
+        let per = self.stepped.len().div_ceil(threads).max(1);
+        let stepped = &self.stepped;
         let ctxs = &self.ctxs;
-        let crashed = &self.crashed_now;
         let inboxes = &self.inboxes;
-        let programs = &mut self.programs;
-        let statuses = &mut self.status;
-        let mailboxes = &mut self.mailboxes;
+        let mut programs = &mut self.programs[..];
+        let mut statuses = &mut self.status[..];
+        let mut mailboxes = &mut self.mailboxes[..];
+        let mut base = 0;
         rayon::scope(|s| {
-            for (((programs, statuses), mailboxes), base) in programs
-                .chunks_mut(chunk)
-                .zip(statuses.chunks_mut(chunk))
-                .zip(mailboxes.chunks_mut(chunk))
-                .zip((0..n).step_by(chunk))
-            {
+            for ids in stepped.chunks(per) {
+                let end = ids[ids.len() - 1] + 1;
+                let (programs_run, rest) = std::mem::take(&mut programs).split_at_mut(end - base);
+                programs = rest;
+                let (statuses_run, rest) = std::mem::take(&mut statuses).split_at_mut(end - base);
+                statuses = rest;
+                let (mailboxes_run, rest) = std::mem::take(&mut mailboxes).split_at_mut(end - base);
+                mailboxes = rest;
+                let offset = base;
+                base = end;
                 s.spawn(move || {
-                    for (i, program) in programs.iter_mut().enumerate() {
-                        let v = base + i;
-                        if crashed[v] {
-                            continue;
-                        }
-                        statuses[i] =
-                            program.round(&ctxs[v], round, &inboxes[v], &mut mailboxes[i]);
+                    for &v in ids {
+                        let i = v - offset;
+                        statuses_run[i] = programs_run[i].round(
+                            &ctxs[v],
+                            round,
+                            &inboxes[v],
+                            &mut mailboxes_run[i],
+                        );
                     }
                 });
             }

@@ -3,14 +3,20 @@
 //! observable behavior to the sequential engine — node outputs, the full
 //! [`RoundStats`] (including the [`ResilienceBudget`] and message log),
 //! per-node [`Quality`], and the exact trace-event sequence — across random
-//! graphs, payload seeds, fault plans, and thread-pool sizes.
+//! graphs, payload seeds, fault plans, and thread-pool sizes, for a program
+//! stepped every round and for one that sleeps (so only the awake nodes are
+//! fanned out, and rounds are jumped).
 //!
 //! CI's parallel lane greps for these tests by name; renaming them breaks
 //! the "equivalence tests actually ran" check in `.github/workflows/ci.yml`.
 
 #![cfg(feature = "parallel")]
 
+mod common;
+
 use std::sync::Arc;
+
+use common::Napper;
 
 use congest_graph::{generators, NodeId, WeightedGraph};
 use congest_sim::telemetry::CollectingTracer;
@@ -72,13 +78,34 @@ struct Observed {
     events: Vec<TraceEvent>,
 }
 
-fn run_engine(g: &WeightedGraph, base: &SimConfig, mode: Parallelism, rounds: usize) -> Observed {
+/// Runs [`Gossip`] for `rounds` rounds, or with `sleepy` the sleeping
+/// [`Napper`] with that deadline.
+fn run_engine(
+    g: &WeightedGraph,
+    base: &SimConfig,
+    mode: Parallelism,
+    rounds: usize,
+    sleepy: bool,
+) -> Observed {
+    if sleepy {
+        run_program(g, base, mode, || Napper::new(rounds, 7))
+    } else {
+        run_program(g, base, mode, || Gossip { digest: 0, rounds })
+    }
+}
+
+fn run_program<P: NodeProgram<Output = u64>>(
+    g: &WeightedGraph,
+    base: &SimConfig,
+    mode: Parallelism,
+    make: impl Fn() -> P,
+) -> Observed {
     let tracer = Arc::new(CollectingTracer::default());
     let config = base
         .clone()
         .with_telemetry(Telemetry::new(tracer.clone()))
         .with_parallelism(mode);
-    let mut net = Network::new(g, 0, config, |_, _| Gossip { digest: 0, rounds });
+    let mut net = Network::new(g, 0, config, |_, _| make());
     let outputs = net.run_with_quality().expect("run succeeds");
     let stats = net.stats().clone();
     Observed {
@@ -88,15 +115,16 @@ fn run_engine(g: &WeightedGraph, base: &SimConfig, mode: Parallelism, rounds: us
     }
 }
 
-fn arb_case() -> impl Strategy<Value = (WeightedGraph, usize, Option<FaultPlan>)> {
+fn arb_case() -> impl Strategy<Value = (WeightedGraph, usize, Option<FaultPlan>, bool)> {
     (
         4usize..20,
         any::<u64>(),
         3usize..10,
         any::<u64>(),
         0usize..4,
+        any::<bool>(),
     )
-        .prop_map(|(n, gseed, rounds, fseed, faultiness)| {
+        .prop_map(|(n, gseed, rounds, fseed, faultiness, sleepy)| {
             let mut rng = ChaCha8Rng::seed_from_u64(gseed);
             let g = generators::erdos_renyi_connected(n, 0.25, 4, &mut rng);
             // faultiness 0 = lossless run; 1..=3 = drops plus that many
@@ -108,7 +136,9 @@ fn arb_case() -> impl Strategy<Value = (WeightedGraph, usize, Option<FaultPlan>)
                 }
                 plan
             });
-            (g, rounds, plan)
+            // The sleeping program runs longer, so its naps leave idle
+            // rounds to jump.
+            (g, if sleepy { 4 * rounds } else { rounds }, plan, sleepy)
         })
 }
 
@@ -133,10 +163,10 @@ proptest! {
     /// quality, and the complete trace-event sequence.
     #[test]
     fn parallel_engine_is_bit_identical(case in arb_case()) {
-        let (g, rounds, plan) = case;
+        let (g, rounds, plan, sleepy) = case;
         let cfg = base_cfg(&g, plan);
-        let seq = run_engine(&g, &cfg, Parallelism::Sequential, rounds);
-        let par = run_engine(&g, &cfg, Parallelism::Parallel, rounds);
+        let seq = run_engine(&g, &cfg, Parallelism::Sequential, rounds, sleepy);
+        let par = run_engine(&g, &cfg, Parallelism::Parallel, rounds, sleepy);
         prop_assert_eq!(&seq.outputs, &par.outputs);
         prop_assert_eq!(&seq.stats, &par.stats);
         prop_assert_eq!(&seq.events, &par.events);
@@ -145,14 +175,14 @@ proptest! {
     /// The agreement is independent of the thread-pool size.
     #[test]
     fn parallel_engine_is_pool_size_invariant(case in arb_case(), threads in 1usize..9) {
-        let (g, rounds, plan) = case;
+        let (g, rounds, plan, sleepy) = case;
         let cfg = base_cfg(&g, plan);
-        let seq = run_engine(&g, &cfg, Parallelism::Sequential, rounds);
+        let seq = run_engine(&g, &cfg, Parallelism::Sequential, rounds, sleepy);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool builds");
-        let par = pool.install(|| run_engine(&g, &cfg, Parallelism::Parallel, rounds));
+        let par = pool.install(|| run_engine(&g, &cfg, Parallelism::Parallel, rounds, sleepy));
         prop_assert_eq!(&seq.outputs, &par.outputs);
         prop_assert_eq!(&seq.stats, &par.stats);
         prop_assert_eq!(&seq.events, &par.events);
@@ -169,7 +199,9 @@ fn parallel_engine_matches_on_fixed_case() {
         .with_drop_rate(0.2)
         .with_crash(3, 2, Some(5));
     let cfg = base_cfg(&g, Some(plan));
-    let seq = run_engine(&g, &cfg, Parallelism::Sequential, 8);
-    let par = run_engine(&g, &cfg, Parallelism::Parallel, 8);
-    assert_eq!(seq, par);
+    for sleepy in [false, true] {
+        let seq = run_engine(&g, &cfg, Parallelism::Sequential, 8, sleepy);
+        let par = run_engine(&g, &cfg, Parallelism::Parallel, 8, sleepy);
+        assert_eq!(seq, par);
+    }
 }

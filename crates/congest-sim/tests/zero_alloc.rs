@@ -3,9 +3,11 @@
 //! buffer to its steady-state capacity), `Network::step` must not touch the
 //! heap at all — **including with a [`SimMetrics`] tracer attached**,
 //! whose per-round updates are relaxed atomic adds on pre-registered
-//! handles. A counting global allocator makes any regression — a stray
-//! `clone`, a rebuilt `Vec`, a formatted string — an immediate test failure
-//! rather than a slow perf drift.
+//! handles. The same holds for sleeping programs: wakes from the heap,
+//! wakes by delivery (which leave stale heap entries behind) and jumps
+//! over idle rounds run on pre-grown buffers. A counting global allocator
+//! makes any regression — a stray `clone`, a rebuilt `Vec`, a formatted
+//! string — an immediate test failure rather than a slow perf drift.
 //!
 //! The library itself is `#![forbid(unsafe_code)]`; the `GlobalAlloc` shim
 //! comes from `wdr_metrics::heap`, which carries the only `unsafe` in the
@@ -63,6 +65,48 @@ impl NodeProgram for EndlessGossip {
     }
 }
 
+/// Periodic sleeper: node `v` broadcasts in rounds `≡ v mod 4` (mod 16)
+/// and sleeps until its next such round, folding in whatever wakes it
+/// early. Each 16-round cycle has 5 rounds with work; the rest are jumped.
+struct Periodic {
+    digest: u64,
+}
+
+impl NodeProgram for Periodic {
+    type Msg = u64;
+    type Output = u64;
+
+    fn start(&mut self, ctx: &NodeCtx, _mb: &mut Mailbox<u64>) {
+        self.digest = mix64(ctx.id as u64 + 1);
+    }
+
+    fn round(
+        &mut self,
+        ctx: &NodeCtx,
+        round: usize,
+        inbox: &[(NodeId, u64)],
+        mb: &mut Mailbox<u64>,
+    ) -> Status {
+        for &(_, d) in inbox {
+            self.digest = mix64(self.digest ^ d);
+        }
+        let phase = ctx.id % 4;
+        if round % 16 == phase {
+            mb.broadcast(ctx, self.digest);
+        }
+        let cycle = round - round % 16;
+        Status::Sleep(if round % 16 < phase {
+            cycle + phase
+        } else {
+            cycle + 16 + phase
+        })
+    }
+
+    fn finish(self, _ctx: &NodeCtx) -> u64 {
+        self.digest
+    }
+}
+
 #[test]
 fn steady_state_rounds_do_not_allocate() {
     track_current_thread();
@@ -101,4 +145,38 @@ fn steady_state_rounds_do_not_allocate() {
     );
     assert_eq!(metrics.messages.get(), net.stats().messages);
     assert_eq!(metrics.bits.get(), net.stats().bits);
+
+    // Sleeping phase: three cycles of warm-up grow the wake heap, then each
+    // step runs one round with work plus any idle rounds jumped before it.
+    let config = SimConfig {
+        bandwidth: Bandwidth::bits(160),
+        ..SimConfig::standard(g.n(), 1)
+    }
+    .with_telemetry(Telemetry::new(metrics.clone()));
+    let mut net = Network::new(&g, 0, config, |_, _| Periodic { digest: 0 });
+    for _ in 0..15 {
+        net.step().expect("warm-up step succeeds");
+    }
+    let rounds_before = net.stats().rounds;
+    let metric_rounds_before = metrics.rounds.get();
+    let before = heap_ops();
+    for _ in 0..32 {
+        net.step().expect("steady-state step succeeds");
+    }
+    let delta = heap_ops() - before;
+    assert_eq!(
+        delta, 0,
+        "steady-state sleeping rounds (heap wakes, delivery wakes, jumps) \
+         must be allocation-free, saw {delta} heap ops over 32 steps"
+    );
+    let rounds = net.stats().rounds - rounds_before;
+    assert!(
+        rounds > 80,
+        "32 steps with work span about 6 cycles of 16 rounds, saw {rounds}"
+    );
+    assert_eq!(
+        metrics.rounds.get() - metric_rounds_before,
+        rounds as u64,
+        "every jumped round still reached the metrics bundle"
+    );
 }
