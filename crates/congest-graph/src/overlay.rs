@@ -18,6 +18,14 @@
 //!
 //! Everything here is the centralized *reference*; the distributed versions
 //! live in the `congest-algos` crate and are tested against these.
+//!
+//! The row `d̃^ℓ(u, ·)` depends only on `(G, u, ℓ, ε)`, not on the skeleton
+//! it serves, so both the overlay `G'_S` and the bounded-hop table of
+//! [`SkeletonDistances`] read it from a [`RowCache`]: a caller evaluating
+//! many skeletons on one graph (Theorem 1.1 evaluates `n` sets whose
+//! members recur) keeps one cache and computes each source's row once.
+//! [`Overlay::from_skeleton`] and [`SkeletonDistances::compute`] build a
+//! private cache for their one skeleton.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's matrix notation
 use crate::graph::{NodeId, WeightedGraph};
@@ -33,6 +41,93 @@ pub fn sample_skeleton<R: Rng + ?Sized>(n: usize, rate: f64, rng: &mut R) -> Vec
         "sampling rate must be in [0,1]"
     );
     (0..n).filter(|_| rng.gen_bool(rate)).collect()
+}
+
+/// The bounded-hop rows `d̃^ℓ(u, ·)` of one graph and rounding scheme, each
+/// computed at most once, the first time `u` is asked for.
+///
+/// Rows live in one flat buffer whose capacity is reserved up front for the
+/// caller's worst case, so filling a row never copies earlier ones; pages
+/// of the reservation that no row fills are never touched. The SSSP
+/// workspace behind the rows is pre-sized too: after
+/// [`RowCache::new`], filling rows and reading them back makes no heap
+/// operation (pinned by `tests/overlay_alloc.rs`). A cache borrows its
+/// graph, so it cannot outlive the graph it describes.
+#[derive(Debug)]
+pub struct RowCache<'g> {
+    g: &'g WeightedGraph,
+    scheme: RoundingScheme,
+    /// `slot[u]` is the index of `u`'s row in `rows`, or [`RowCache::EMPTY`].
+    slot: Vec<u32>,
+    /// Filled rows, `n` entries each, in fill order.
+    rows: Vec<ApproxDist>,
+    ws: SsspWorkspace,
+}
+
+impl<'g> RowCache<'g> {
+    /// Marks a source whose row is not filled yet.
+    const EMPTY: u32 = u32::MAX;
+
+    /// Creates an empty cache with room for `max_rows` rows (clamped to
+    /// `n`, the most distinct sources there are).
+    pub fn new(g: &'g WeightedGraph, scheme: RoundingScheme, max_rows: usize) -> RowCache<'g> {
+        let n = g.n();
+        let mut ws = SsspWorkspace::new();
+        ws.reserve_heap_search(n, g.m());
+        RowCache {
+            g,
+            scheme,
+            slot: vec![Self::EMPTY; n],
+            rows: Vec::with_capacity(max_rows.min(n) * n),
+            ws,
+        }
+    }
+
+    /// Number of rows filled so far.
+    pub fn len(&self) -> usize {
+        self.rows.len() / self.g.n().max(1)
+    }
+
+    /// `true` until a row has been filled.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Fills the row of every source in `sources` that is not cached yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is out of range.
+    pub fn fill(&mut self, sources: &[NodeId]) {
+        let n = self.g.n();
+        for &u in sources {
+            if self.slot[u] != Self::EMPTY {
+                continue;
+            }
+            let start = self.rows.len();
+            self.slot[u] = u32::try_from(start / n).expect("row index fits u32");
+            self.rows.resize(start + n, f64::INFINITY);
+            approx_hop_bounded_into(
+                self.g,
+                u,
+                self.scheme,
+                &mut self.ws,
+                &mut self.rows[start..],
+            );
+        }
+    }
+
+    /// The cached row `d̃^ℓ(u, ·)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u`'s row has not been [filled](RowCache::fill).
+    pub fn row(&self, u: NodeId) -> &[ApproxDist] {
+        let slot = self.slot[u];
+        assert_ne!(slot, Self::EMPTY, "row of source {u} was never filled");
+        let n = self.g.n();
+        &self.rows[slot as usize * n..][..n]
+    }
 }
 
 /// A complete weighted graph on a skeleton `S`, with real-valued weights.
@@ -58,31 +153,35 @@ impl Overlay {
         skeleton: &[NodeId],
         scheme: RoundingScheme,
     ) -> Overlay {
+        Overlay::from_rows(&mut RowCache::new(g, scheme, skeleton.len()), skeleton)
+    }
+
+    /// Builds `(G'_S, w'_S)` from the rows of `cache`, filling the rows of
+    /// skeleton members it does not hold yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `skeleton` contains an out-of-range or duplicate node.
+    pub fn from_rows(cache: &mut RowCache<'_>, skeleton: &[NodeId]) -> Overlay {
         let mut nodes = skeleton.to_vec();
         nodes.sort_unstable();
         let before = nodes.len();
         nodes.dedup();
         assert_eq!(nodes.len(), before, "skeleton contains duplicates");
         if let Some(&max) = nodes.last() {
-            assert!(max < g.n(), "skeleton node {max} out of range");
+            assert!(max < cache.g.n(), "skeleton node {max} out of range");
         }
+        cache.fill(&nodes);
         let s = nodes.len();
         let mut w = vec![0.0; s * s];
-        // One workspace and one distance row serve the whole skeleton loop.
-        let mut ws = SsspWorkspace::new();
-        let mut d = vec![f64::INFINITY; g.n()];
         for (i, &u) in nodes.iter().enumerate() {
-            approx_hop_bounded_into(g, u, scheme, &mut ws, &mut d);
-            for (j, &v) in nodes.iter().enumerate() {
-                if i != j {
-                    // Keep the matrix symmetric: d̃ is symmetric analytically,
-                    // min() guards against float noise.
-                    let val = d[v];
-                    let cur = w[j * s + i];
-                    let best = if cur > 0.0 { val.min(cur) } else { val };
-                    w[i * s + j] = best;
-                    w[j * s + i] = best;
-                }
+            let du = cache.row(u);
+            for (j, &v) in nodes.iter().enumerate().skip(i + 1) {
+                // Keep the matrix symmetric: d̃ is symmetric analytically,
+                // min() guards against float noise.
+                let best = cache.row(v)[u].min(du[v]);
+                w[i * s + j] = best;
+                w[j * s + i] = best;
             }
         }
         Overlay { nodes, w }
@@ -597,18 +696,25 @@ impl SkeletonDistances {
         scheme: RoundingScheme,
         k: usize,
     ) -> SkeletonDistances {
+        SkeletonDistances::from_rows(&mut RowCache::new(g, scheme, skeleton.len()), skeleton, k)
+    }
+
+    /// [`compute`](SkeletonDistances::compute) from the rows of `cache`,
+    /// filling the rows of skeleton members it does not hold yet. Callers
+    /// that evaluate many skeletons on one graph share one cache, so a
+    /// source that recurs across skeletons costs one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the skeleton is empty or `k == 0`.
+    pub fn from_rows(cache: &mut RowCache<'_>, skeleton: &[NodeId], k: usize) -> SkeletonDistances {
         assert!(!skeleton.is_empty(), "skeleton must be non-empty");
         assert!(k >= 1, "k must be ≥ 1");
-        let overlay = Overlay::from_skeleton(g, skeleton, scheme);
-        let mut ws = SsspWorkspace::new();
+        let overlay = Overlay::from_rows(cache, skeleton);
         let bounded_hop = overlay
             .nodes()
             .iter()
-            .map(|&u| {
-                let mut row = vec![f64::INFINITY; g.n()];
-                approx_hop_bounded_into(g, u, scheme, &mut ws, &mut row);
-                row
-            })
+            .map(|&u| cache.row(u).to_vec())
             .collect();
         let shortcut = overlay.shortcut(k);
         let overlay_ell = ((4 * overlay.len()) as f64 / k as f64).ceil().max(1.0) as usize;
@@ -617,7 +723,7 @@ impl SkeletonDistances {
             bounded_hop,
             shortcut,
             overlay_ell,
-            eps: scheme.eps,
+            eps: cache.scheme.eps,
         }
     }
 

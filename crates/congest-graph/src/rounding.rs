@@ -10,6 +10,13 @@
 //!
 //! Lemma 3.2 guarantees `d(u,v) ≤ d̃^ℓ(u,v) ≤ (1+ε)·d^ℓ(u,v)`.
 //!
+//! Each scale's search only needs the labels the filter keeps, so it runs
+//! as a limited search ([`SsspWorkspace::dijkstra_mapped_into`] with limit
+//! `⌊(1+2/ε)ℓ⌋`): it settles the threshold ball around the source and
+//! leaves the rest of the graph untouched. Rounded distances are integers,
+//! so `d ≤ ⌊(1+2/ε)ℓ⌋` accepts exactly the labels `d ≤ (1+2/ε)ℓ` does, and
+//! `d̃^ℓ` is bit-identical to filtering an unlimited search.
+//!
 //! Approximate distances are real-valued (the scaling by `ε·2^i/(2ℓ)` leaves
 //! the integers); we carry them as `f64`, which is exact for the integer
 //! numerators involved (all `< 2^53`) and introduces only machine-epsilon
@@ -111,10 +118,10 @@ pub fn approx_hop_bounded(g: &WeightedGraph, s: NodeId, scheme: RoundingScheme) 
 }
 
 /// Workspace-backed version of [`approx_hop_bounded`], for callers that run
-/// many sources (the skeleton loops of [`crate::overlay`]): the per-scale
+/// many sources (the row cache of [`crate::overlay`]): the per-scale
 /// Dijkstra runs through `ws` with the rounded weights `w_i` applied
-/// on the fly, so no intermediate graph is materialized and nothing is
-/// allocated after warm-up.
+/// on the fly and stops at the threshold, so no intermediate graph is
+/// materialized and nothing is allocated after warm-up.
 ///
 /// `out` is overwritten with `d̃^ℓ(s, ·)`.
 ///
@@ -131,20 +138,19 @@ pub fn approx_hop_bounded_into(
     assert!(s < g.n(), "source {s} out of range");
     assert_eq!(out.len(), g.n(), "output buffer must cover every node");
     out.fill(f64::INFINITY);
-    let threshold = scheme.threshold();
+    // Rounded distances are integers, so this accepts exactly `d ≤ (1+2/ε)ℓ`.
+    let limit = Dist::from(scheme.threshold().floor() as u64);
     let imax = scheme.max_scale(g.n(), g.max_weight());
     for i in 0..=imax {
-        // Rounded weights are applied during relaxation; cloning the graph
-        // per scale (the seed behavior) is gone.
-        let di = ws.dijkstra_mapped_into(g, s, |w| scheme.rounded_weight(i, w));
+        // Rounded weights are applied during relaxation, and labels above
+        // the threshold are never settled: every finite label is accepted.
+        let di = ws.dijkstra_mapped_into(g, s, limit, |w| scheme.rounded_weight(i, w));
         let unscale = scheme.unscale(i);
         for (v, d) in di.iter().enumerate() {
             if let Some(d) = d.finite() {
-                if (d as f64) <= threshold {
-                    let approx = d as f64 * unscale;
-                    if approx < out[v] {
-                        out[v] = approx;
-                    }
+                let approx = d as f64 * unscale;
+                if approx < out[v] {
+                    out[v] = approx;
                 }
             }
         }

@@ -147,6 +147,18 @@ impl SsspWorkspace {
         self.counters = KernelCounters::default();
     }
 
+    /// Grows the distance buffer and the binary heap to their worst case
+    /// for a graph with `n` nodes and `m` undirected edges, so no later
+    /// heap-based search on such a graph allocates. A search pushes at most
+    /// once per source plus once per directed edge (a label only improves
+    /// when its tail is settled, and a node settles once).
+    pub(crate) fn reserve_heap_search(&mut self, n: usize, m: usize) {
+        if self.dist.len() < n {
+            self.dist.resize(n, Dist::INFINITY);
+        }
+        self.heap.reserve(1 + 2 * m);
+    }
+
     /// Resets the distance buffer for an `n`-node run.
     fn reset_dist(&mut self, n: usize) {
         if self.dist.len() < n {
@@ -181,13 +193,20 @@ impl SsspWorkspace {
     ///
     /// Panics if `s >= g.n()`.
     pub fn dijkstra_heap_into<G: CsrGraph>(&mut self, g: &G, s: NodeId) -> &[Dist] {
-        self.dijkstra_mapped_into(g, s, |w| w)
+        self.dijkstra_mapped_into(g, s, Dist::INFINITY, |w| w)
     }
 
-    /// Dijkstra from `s` under on-the-fly re-weighted edges: edge weight `w`
-    /// is replaced by `f(w)` during relaxation, with no intermediate graph
-    /// materialized. This is what lets the rounding scheme of Lemma 3.2 run
-    /// one search per scale without cloning the graph per scale.
+    /// Dijkstra from `s` under on-the-fly re-weighted edges, limited to
+    /// labels `≤ limit`: edge weight `w` is replaced by `f(w)` during
+    /// relaxation, with no intermediate graph materialized. This is what
+    /// lets the rounding scheme of Lemma 3.2 run one search per scale
+    /// without cloning the graph per scale.
+    ///
+    /// A label above `limit` is never written or queued, so the search
+    /// stops once every node within `limit` is settled. Every label
+    /// `≤ limit` is exact (all prefixes of a shortest path are shorter, so
+    /// none of its relaxations is cut), and every other node reads
+    /// [`Dist::INFINITY`]. `limit = Dist::INFINITY` is the plain search.
     ///
     /// # Panics
     ///
@@ -196,6 +215,7 @@ impl SsspWorkspace {
         &mut self,
         g: &G,
         s: NodeId,
+        limit: Dist,
         mut f: impl FnMut(Weight) -> Weight,
     ) -> &[Dist] {
         let n = g.n();
@@ -219,7 +239,7 @@ impl SsspWorkspace {
                 let w = f(w);
                 debug_assert!(w > 0, "mapped weight must stay positive");
                 let nd = d + Dist::from(w);
-                if nd < dist[u] {
+                if nd < dist[u] && nd <= limit {
                     dist[u] = nd;
                     counters.relaxations += 1;
                     heap.push(Reverse((nd, u)));
@@ -606,8 +626,37 @@ mod tests {
         let doubled = g.map_weights(|w| 2 * w + 1);
         let mut ws = SsspWorkspace::new();
         for s in [0usize, 17] {
-            let got = ws.dijkstra_mapped_into(&g, s, |w| 2 * w + 1).to_vec();
+            let got = ws
+                .dijkstra_mapped_into(&g, s, Dist::INFINITY, |w| 2 * w + 1)
+                .to_vec();
             assert_eq!(got, shortest_path::dijkstra(&doubled, s));
+        }
+    }
+
+    #[test]
+    fn limited_mapped_search_is_exact_below_limit_and_infinite_above() {
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let mut ws = SsspWorkspace::new();
+        for trial in 0..8 {
+            let g = generators::erdos_renyi_connected(20 + trial, 0.2, 9, &mut rng);
+            for s in [0usize, g.n() / 2] {
+                let full = ws
+                    .dijkstra_mapped_into(&g, s, Dist::INFINITY, |w| 3 * w)
+                    .to_vec();
+                let far = full.iter().copied().max().unwrap().expect_finite();
+                for limit in [0, 1, far / 3, far / 2, far - 1, far, far + 7] {
+                    let limit = Dist::from(limit);
+                    let cut = ws.dijkstra_mapped_into(&g, s, limit, |w| 3 * w);
+                    for v in g.nodes() {
+                        let want = if full[v] <= limit {
+                            full[v]
+                        } else {
+                            Dist::INFINITY
+                        };
+                        assert_eq!(cut[v], want, "trial {trial} s={s} v={v} limit={limit:?}");
+                    }
+                }
+            }
         }
     }
 }

@@ -25,6 +25,15 @@ use wdr_metrics::heap::{heap_ops, track_current_thread, CountingAlloc};
 #[global_allocator]
 static GLOBAL: CountingAlloc<System> = CountingAlloc::new(System);
 
+/// The limit of the warmed pass's limited mapped search: small enough that
+/// the search stops short of the whole graph (asserted in the test).
+const MAPPED_LIMIT: u64 = 6;
+
+/// The weight map of the limited mapped search.
+fn doubled(w: u64) -> u64 {
+    2 * w
+}
+
 /// One full pass over every workspace kernel, cycling sources so each
 /// iteration exercises genuinely different sweeps. `light` has small
 /// weights (the Dial bucket-queue path), `heavy` forces the binary heap.
@@ -48,6 +57,8 @@ fn exercise(
     let (dist, hops) = ws.dijkstra_with_hops_into(light, s);
     acc = acc + dist[n - 1 - s] + Dist::from(hops[n - 1 - s] as u64);
     acc = acc + ws.eccentricity(light, s) + ws.unweighted_eccentricity(light, s);
+    let limited = ws.dijkstra_mapped_into(light, s, Dist::from(MAPPED_LIMIT), doubled);
+    acc = acc + Dist::from(limited.iter().filter(|d| d.is_finite()).count() as u64);
     approx_hop_bounded_into(light, s, scheme, ws, approx_out);
     if approx_out[(s + 1) % n].is_finite() {
         acc = acc + Dist::from(approx_out[(s + 1) % n] as u64);
@@ -112,4 +123,17 @@ fn warmed_up_kernels_do_not_allocate() {
     let counters = ws.counters();
     assert!(counters.dial_runs > 0 && counters.heap_runs > 0);
     assert!(counters.bfs_runs > 0 && counters.relaxations > 0);
+    // The limited search measured above really stops short: from every
+    // source it leaves nodes the unlimited search reaches at INFINITY.
+    for s in light.nodes() {
+        let full = ws
+            .dijkstra_mapped_into(&light, s, Dist::INFINITY, doubled)
+            .to_vec();
+        assert!(full.iter().all(|d| d.is_finite()), "light is connected");
+        let limited = ws.dijkstra_mapped_into(&light, s, Dist::from(MAPPED_LIMIT), doubled);
+        assert!(
+            limited.iter().any(|d| !d.is_finite()),
+            "limit {MAPPED_LIMIT} must cut the search from source {s}"
+        );
+    }
 }

@@ -1,11 +1,11 @@
 //! Property-based tests of the graph substrate.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's matrix notation
-use congest_graph::overlay::{Overlay, SkeletonDistances};
+use congest_graph::overlay::{Overlay, RowCache, SkeletonDistances};
 use congest_graph::rounding::RoundingScheme;
 use congest_graph::{generators, metrics, shortest_path, Dist, GraphBuilder, WeightedGraph};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
@@ -15,8 +15,130 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
+/// The row `d̃^ℓ(u, ·)` computed without the limited search: one full
+/// Dijkstra per scale on the materialized rounded graph `(G, w_i)`, then
+/// Lemma 3.2's threshold filter.
+fn unlimited_row(g: &WeightedGraph, u: usize, scheme: RoundingScheme) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; g.n()];
+    for i in 0..=scheme.max_scale(g.n(), g.max_weight()) {
+        let di = shortest_path::dijkstra(&scheme.rounded_graph(g, i), u);
+        for v in g.nodes() {
+            if let Some(d) = di[v].finite() {
+                if (d as f64) <= scheme.threshold() {
+                    best[v] = best[v].min(d as f64 * scheme.unscale(i));
+                }
+            }
+        }
+    }
+    best
+}
+
+/// `SkeletonDistances` for one set, composed the per-set way: every
+/// member's row from [`unlimited_row`], once for the overlay and once for
+/// the bounded-hop table, and the overlay symmetrized by `min` as the rows
+/// arrive.
+fn per_set_reference(
+    g: &WeightedGraph,
+    set: &[usize],
+    scheme: RoundingScheme,
+    k: usize,
+) -> SkeletonDistances {
+    let mut nodes = set.to_vec();
+    nodes.sort_unstable();
+    let s = nodes.len();
+    let mut w = vec![0.0; s * s];
+    for (i, &u) in nodes.iter().enumerate() {
+        let d = unlimited_row(g, u, scheme);
+        for (j, &v) in nodes.iter().enumerate() {
+            if i != j {
+                let val = d[v];
+                let cur = w[j * s + i];
+                let best = if cur > 0.0 { val.min(cur) } else { val };
+                w[i * s + j] = best;
+                w[j * s + i] = best;
+            }
+        }
+    }
+    let overlay = Overlay::from_matrix(nodes.clone(), w);
+    SkeletonDistances {
+        bounded_hop: nodes.iter().map(|&u| unlimited_row(g, u, scheme)).collect(),
+        skeleton: nodes,
+        shortcut: overlay.shortcut(k),
+        overlay_ell: ((4 * s) as f64 / k as f64).ceil().max(1.0) as usize,
+        eps: scheme.eps,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One row cache shared by overlapping sets reproduces the per-set
+    /// reference bit for bit: every bounded-hop entry, every shortcut
+    /// weight, the overlay hop budget and every approximate eccentricity.
+    /// A small `ℓ` leaves pairs at `INFINITY`: on the 60-node path every
+    /// row has some node farther than the `⌊(1+2/ε)ℓ⌋ ≤ 27` hops any scale
+    /// accepts.
+    #[test]
+    fn cached_reference_matches_per_set_reference(
+        g in arb_graph(),
+        set_seed in any::<u64>(),
+        ell in 1usize..4,
+        eps_pick in 0usize..3,
+        k in 1usize..4,
+    ) {
+        let scheme = RoundingScheme::new(ell, [0.25, 0.5, 1.0][eps_pick]);
+        let mut rng = ChaCha8Rng::seed_from_u64(set_seed);
+        let path = generators::path(60, 1 + set_seed % 7);
+        for (graph, rate, must_cut) in [(&g, 0.4, false), (&path, 0.15, true)] {
+            let n = graph.n();
+            let mut sets: Vec<Vec<usize>> = (0..4)
+                .map(|_| {
+                    let mut set: Vec<usize> =
+                        (0..n).filter(|_| rng.gen_bool(rate)).collect();
+                    if set.is_empty() {
+                        set.push(rng.gen_range(0..n));
+                    }
+                    set
+                })
+                .collect();
+            sets.push(sets[0].clone()); // a repeated set reads only cached rows
+            let mut rows = RowCache::new(graph, scheme, n);
+            let mut saw_infinite = false;
+            for set in &sets {
+                let want = per_set_reference(graph, set, scheme, k);
+                let got = SkeletonDistances::from_rows(&mut rows, set, k);
+                prop_assert_eq!(&got.skeleton, &want.skeleton);
+                prop_assert_eq!(got.overlay_ell, want.overlay_ell);
+                prop_assert_eq!(got.eps.to_bits(), want.eps.to_bits());
+                for (a, b) in got.bounded_hop.iter().zip(&want.bounded_hop) {
+                    prop_assert_eq!(a.len(), b.len());
+                    for (x, y) in a.iter().zip(b) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits());
+                        saw_infinite |= x.is_infinite();
+                    }
+                }
+                let s = want.skeleton.len();
+                for i in 0..s {
+                    for j in 0..s {
+                        prop_assert_eq!(
+                            got.shortcut.weight(i, j).to_bits(),
+                            want.shortcut.weight(i, j).to_bits()
+                        );
+                    }
+                }
+                for &u in &want.skeleton {
+                    prop_assert_eq!(
+                        got.approx_eccentricity(u).to_bits(),
+                        want.approx_eccentricity(u).to_bits()
+                    );
+                }
+            }
+            let distinct: std::collections::BTreeSet<usize> =
+                sets.iter().flatten().copied().collect();
+            prop_assert_eq!(rows.len(), distinct.len(), "one row per distinct member");
+            prop_assert!(saw_infinite || !must_cut, "the path must leave pairs at INFINITY");
+        }
+    }
 
     /// Builder canonicalization: edge count, symmetry, weight positivity.
     #[test]

@@ -30,7 +30,7 @@
 use crate::framework::{optimize, ordered_bits, PhaseCosts};
 use crate::params::WdrParams;
 use congest_algos::skeleton::SkeletonState;
-use congest_graph::overlay::SkeletonDistances;
+use congest_graph::overlay::{RowCache, SkeletonDistances};
 use congest_graph::{metrics, NodeId, WeightedGraph};
 use congest_sim::{primitives, ResilienceBudget, RoundStats, SimConfig, SimError};
 use quantum_sim::search::{find_above_threshold, lemma_3_1_budget, SearchTrace};
@@ -149,19 +149,24 @@ pub fn sample_sets<R: Rng + ?Sized>(n: usize, rate: f64, rng: &mut R) -> Vec<Vec
 
 /// Evaluates every non-empty set with the centralized reference: the
 /// `ẽ_i(s)` tables the quantum searches run over.
+///
+/// All sets share one [`RowCache`], so each distinct member's bounded-hop
+/// row is computed once however many sets it joins. The cache lives only
+/// for this call.
 pub fn evaluate_sets(
     g: &WeightedGraph,
     sets: &[Vec<NodeId>],
     params: &WdrParams,
     objective: Objective,
 ) -> Vec<Option<SetEval>> {
-    let scheme = params.scheme();
+    // Nearly every node joins some set, so reserve the worst case: n rows.
+    let mut rows = RowCache::new(g, params.scheme(), g.n());
     sets.iter()
         .map(|set| {
             if set.is_empty() {
                 return None;
             }
-            let sd = SkeletonDistances::compute(g, set, scheme, params.k);
+            let sd = SkeletonDistances::from_rows(&mut rows, set, params.k);
             let eccs: Vec<f64> = sd
                 .skeleton
                 .iter()
