@@ -9,15 +9,20 @@
 //! * **Algorithm 5** (Lemma A.4): bounded-hop SSSP (`ℓ' = 4|S|/k`) on
 //!   `(G''_S, w''_S)` from a given source, where every overlay round is
 //!   realized by a global collect-and-rebroadcast over the physical network
-//!   (`Õ(|S|/(εk)·D + |S|)` rounds).
+//!   (`Õ(|S|/(εk)·D + |S|)` rounds). Most overlay rounds have no announcer
+//!   and still pay the `O(D)` count cost. One such round always does the
+//!   same thing, so each call simulates the first and replays its
+//!   statistics and trace events for the rest.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's matrix notation
 use crate::multi_source::{multi_source_bounded_hop, MultiSourceResult};
 use congest_graph::overlay::Overlay;
 use congest_graph::rounding::{ApproxDist, RoundingScheme};
 use congest_graph::{NodeId, WeightedGraph};
-use congest_sim::{primitives, RoundStats, SimConfig, SimError};
+use congest_sim::primitives::TreeInfo;
+use congest_sim::{primitives, RoundStats, SimConfig, SimError, Telemetry, TraceEvent, Tracer};
 use rand::Rng;
+use std::sync::{Arc, Mutex};
 
 /// Everything the network knows after Algorithms 3 + 4 ran for one skeleton:
 /// the content of `|init_i⟩` in Lemma 3.5.
@@ -180,6 +185,13 @@ pub fn embed_overlay<R: Rng + ?Sized>(
 /// `O(D + a)` rounds). Returns `d̃^{4|S|/k}_{G'',w''}(source, u)` for every
 /// skeleton index `u` — known to **all** nodes — plus statistics.
 ///
+/// Rounds with no announcer still pay the `O(D)` count cost in full, but
+/// only the first of them in a call is simulated. Each is two fresh
+/// networks running the same empty collect and broadcast, and fault
+/// decisions key on network-local rounds, so every later one absorbs the
+/// first one's statistics and re-emits its trace events. The result,
+/// statistics, events and errors equal those of simulating every round.
+///
 /// # Errors
 ///
 /// Propagates simulator errors.
@@ -222,6 +234,12 @@ pub fn overlay_sssp(
 
     let mut best = vec![f64::INFINITY; s];
     best[src] = 0.0;
+    let mut empty_round: Option<EmptyRound> = None;
+    // Per-round buffers, reused across rounds and scales. Between rounds
+    // every list in `items` is empty: only announcers' owners fill theirs.
+    let mut announcers: Vec<usize> = Vec::new();
+    let mut items: Vec<Vec<(u64, u128)>> = vec![Vec::new(); g.n()];
+    let mut payload: Vec<u128> = Vec::new();
     // Ownership: skeleton node S[u] simulates overlay node u.
     for scale in 0..=imax {
         let denom = eps * (2f64).powi(scale as i32);
@@ -236,20 +254,34 @@ pub fn overlay_sssp(
         dist[src] = Some(0);
         for rho in 0..=limit {
             // Who announces this overlay round? (settled distance == rho)
-            let announcers: Vec<usize> = (0..s)
-                .filter(|&u| !broadcasted[u] && dist[u] == Some(rho))
-                .collect();
+            announcers.clear();
+            announcers.extend((0..s).filter(|&u| !broadcasted[u] && dist[u] == Some(rho)));
+            // Empty rounds still pay the O(D) "count" cost: the first one
+            // is simulated, every later one replays it.
+            if announcers.is_empty() {
+                match &empty_round {
+                    Some(empty) => empty.replay(&mut stats, &config.telemetry),
+                    None => {
+                        let empty = EmptyRound::simulate(g, leader, &wide, &tree, &items)?;
+                        stats.absorb(&empty.stats);
+                        empty_round = Some(empty);
+                    }
+                }
+                continue;
+            }
             // Physical realization: collect the a announcements at the
             // leader and rebroadcast them to everyone (O(D + a) rounds).
-            // Empty rounds still pay the O(D) "count" cost.
-            let mut items: Vec<Vec<(u64, u128)>> = vec![Vec::new(); g.n()];
             for &u in &announcers {
                 let packed: u128 = ((u as u128) << 64) | dist[u].unwrap() as u128;
                 items[emb.skeleton[u]].push((u as u64, packed));
             }
             let (gathered, up) = primitives::collect_at_leader(g, leader, &wide, &tree, &items)?;
+            for &u in &announcers {
+                items[emb.skeleton[u]].clear();
+            }
             stats.absorb(&up);
-            let payload: Vec<u128> = gathered.iter().map(|&(_, v)| v).collect();
+            payload.clear();
+            payload.extend(gathered.iter().map(|&(_, v)| v));
             let (_, down) = primitives::pipelined_broadcast(g, leader, &wide, &tree, &payload)?;
             stats.absorb(&down);
             // Every skeleton node relaxes against the announcements (the
@@ -279,6 +311,74 @@ pub fn overlay_sssp(
         }
     }
     Ok((best, stats))
+}
+
+/// One overlay round with no announcer, simulated once per
+/// [`overlay_sssp`] call. Every empty round of the call produces these
+/// same statistics (message log and resilience budget included) and these
+/// same trace events.
+struct EmptyRound {
+    /// The collect's and the broadcast's statistics, summed.
+    stats: RoundStats,
+    /// The events both networks emitted, in order (empty when telemetry
+    /// is off).
+    events: Vec<TraceEvent>,
+}
+
+impl EmptyRound {
+    /// Simulates the round; its events reach `wide`'s telemetry as they
+    /// happen, and are kept for [`EmptyRound::replay`].
+    fn simulate(
+        g: &WeightedGraph,
+        leader: NodeId,
+        wide: &SimConfig,
+        tree: &[TreeInfo],
+        empty_items: &[Vec<(u64, u128)>],
+    ) -> Result<EmptyRound, SimError> {
+        let recorder = Arc::new(Recorder {
+            inner: wide.telemetry.clone(),
+            kept: Mutex::default(),
+        });
+        let recording = SimConfig {
+            telemetry: Telemetry::new(recorder.clone()),
+            ..wide.clone()
+        };
+        let (_, mut stats) =
+            primitives::collect_at_leader(g, leader, &recording, tree, empty_items)?;
+        let (_, down) = primitives::pipelined_broadcast(g, leader, &recording, tree, &[])?;
+        stats.absorb(&down);
+        let events = std::mem::take(&mut *recorder.kept.lock().expect("recorder poisoned"));
+        Ok(EmptyRound { stats, events })
+    }
+
+    /// Charges the round again: absorbs its statistics into `stats` and
+    /// re-emits its events, in order, to `telemetry`.
+    fn replay(&self, stats: &mut RoundStats, telemetry: &Telemetry) {
+        stats.absorb(&self.stats);
+        for event in &self.events {
+            telemetry.emit_with(|| event.clone());
+        }
+    }
+}
+
+/// Passes every event on to the caller's telemetry and keeps a copy.
+/// `emit_with` runs its closure only when a tracer is attached, so with
+/// telemetry off nothing is kept.
+struct Recorder {
+    inner: Telemetry,
+    kept: Mutex<Vec<TraceEvent>>,
+}
+
+impl Tracer for Recorder {
+    fn record(&self, event: &TraceEvent) {
+        self.inner.emit_with(|| {
+            self.kept
+                .lock()
+                .expect("recorder poisoned")
+                .push(event.clone());
+            event.clone()
+        });
+    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 
 use congest_algos::bounded_sssp::bounded_hop_sssp;
 use congest_algos::multi_source::multi_source_bounded_hop;
+use congest_algos::skeleton::SkeletonState;
 use congest_algos::three_halves::three_halves_diameter;
 use congest_graph::rounding::RoundingScheme;
 use congest_graph::{generators, WeightedGraph};
@@ -106,4 +107,44 @@ fn multi_source_schedule_is_accounted() {
     assert!(phases.iter().any(|p| p == "delay_broadcast"));
     assert!(phases.iter().any(|p| p == "stretched_execution"));
     assert_eq!(algo.subtree().rounds, res.stats.rounds);
+}
+
+#[test]
+fn skeleton_setup_phases_sum_to_reported_rounds() {
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let g = generators::erdos_renyi_connected(16, 0.2, 5, &mut rng);
+    let scheme = RoundingScheme::new(4, 0.5);
+    let plain = SimConfig::standard(g.n(), g.max_weight()).with_max_rounds(10_000_000);
+    let state =
+        SkeletonState::initialize(&g, 0, &[2, 5, 9, 13], scheme, 2, &plain, &mut rng).unwrap();
+    let (cfg, tracer) = traced_cfg(&g);
+    let (_, stats) = state.setup_data(&g, 5, &cfg).unwrap();
+
+    let tree = build_phase_tree(&tracer.events());
+    assert_eq!(tree.children.len(), 1);
+    let setup = &tree.children[0];
+    assert_eq!(setup.name, "skeleton_setup");
+    assert_eq!(setup.subtree().rounds, stats.rounds);
+    assert_eq!(setup.subtree().messages, stats.messages);
+    assert_eq!(setup.subtree().bits, stats.bits);
+    assert_eq!(tree.own.rounds, 0);
+
+    // One collect and one broadcast per overlay round, (imax+1)·(limit+1)
+    // of each, whether the round was simulated or replayed.
+    let emb = &state.overlay;
+    let s = emb.skeleton.len();
+    let eps = emb.scheme.eps;
+    let max_w = (0..s)
+        .flat_map(|i| (0..s).map(move |j| (i, j)))
+        .filter(|&(i, j)| i != j)
+        .map(|(i, j)| emb.shortcut.weight(i, j))
+        .filter(|x| x.is_finite())
+        .fold(1.0f64, f64::max);
+    let imax = ((2.0 * s as f64 * max_w / eps).log2().ceil()).max(0.0) as usize;
+    let limit = ((1.0 + 2.0 / eps) * emb.overlay_ell as f64).floor() as usize;
+    let phases = named_phases(setup);
+    for primitive in ["pipelined_collect", "pipelined_broadcast"] {
+        let count = phases.iter().filter(|p| *p == primitive).count();
+        assert_eq!(count, (imax + 1) * (limit + 1), "{primitive} spans");
+    }
 }
