@@ -1168,10 +1168,6 @@ struct E11Row {
     n: usize,
     edges: usize,
     gen_ms: f64,
-    load_ms: f64,
-    /// Generation time over mmap-load time — how much the binary format
-    /// saves over regenerating (gated ≥ 50× by assertion, recorded here).
-    load_ratio: f64,
     kernel: String,
     sweeps: usize,
     sweep_fraction: f64,
@@ -1190,22 +1186,19 @@ struct E11Report {
     host_threads: usize,
     parallel_feature: bool,
     rows: Vec<E11Row>,
-    /// Registry snapshot of the row figures, `e11.{family}.n{n}[.{kernel}].…`.
+    /// Registry snapshot of the row figures, `e11.{family}.n{n}.{kernel}.…`.
     metrics: Vec<(String, f64)>,
 }
 
 /// E11: million-node graph scale — the full giant-graph pipeline. Each
 /// family is generated edge-by-edge through the streaming `GraphWriter`
-/// (never a materialized edge list), written to the versioned binary
-/// format, and reopened via `open_mmap`; the mapped view, the owned
-/// original, the u32-index `CompactGraph`, and (with `--features
-/// parallel`) the batched rayon SumSweep must all agree exactly. Gates:
-/// mmap reload ≥ 50× faster than regenerating, pruned SumSweep certifies
-/// within n/4 sweeps. Writes `BENCH_giant.json` under `out_dir`.
+/// (never a materialized edge list) and solved by sequential SumSweep;
+/// with `--features parallel` the batched rayon SumSweep must agree on D
+/// and R exactly. Gate: pruned SumSweep certifies within n/4 sweeps.
+/// Writes `BENCH_giant.json` under `out_dir`.
 pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     use congest_graph::generators::stream::StreamSpec;
     use congest_graph::sweep::{self, EdgeMetric};
-    use congest_graph::CompactGraph;
     use std::time::Instant;
     let host_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     // Small weights keep every sweep on the Dial bucket-queue fast path —
@@ -1219,7 +1212,7 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
             // sweeps (near-tied central eccentricities — the documented
             // pruning worst case, see `congest_graph::sweep`), so the grid
             // stops at 2·10⁵ to keep the full sweep tractable; the
-            // streaming/mmap pipeline runs at 10⁶ on the other families.
+            // streaming pipeline runs at 10⁶ on the other families.
             vec![100_000, 200_000]
         } else {
             vec![100_000, 1_000_000]
@@ -1244,18 +1237,14 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
             },
         }
     };
-    let graph_dir = std::env::temp_dir().join(format!("wdrg-e11-{}", std::process::id()));
-    std::fs::create_dir_all(&graph_dir).expect("create E11 graph dir");
     let mut table = Table::new(
         "E11",
-        "Giant-graph pipeline: streamed generation, binary mmap reload, SumSweep at n up to 10^6",
+        "Giant-graph pipeline: streamed generation and SumSweep at n up to 10^6",
         &[
             "family",
             "n",
             "edges",
             "gen",
-            "load",
-            "gen/load",
             "kernel",
             "sweeps",
             "sweep frac",
@@ -1274,47 +1263,13 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
             let gen_secs = t0.elapsed().as_secs_f64();
             let edges = g.m();
 
-            let path = graph_dir.join(format!("{family}_{n}.wdrg"));
-            g.write_binary(&path).expect("write binary graph");
             let t1 = Instant::now();
-            let mapped =
-                congest_graph::WeightedGraph::open_mmap(&path).expect("mmap-open binary graph");
-            // Clamp to ≥ 1µs: the O(header) open can undercut the timer.
-            let load_secs = t1.elapsed().as_secs_f64().max(1e-6);
-            let load_ratio = gen_secs / load_secs;
-            assert!(
-                load_ratio >= 50.0,
-                "mmap load must beat regeneration ≥ 50×, got {load_ratio:.1}× \
-                 on {family} n={n} (gen {gen_secs:.3}s, load {load_secs:.6}s)"
-            );
-            assert_eq!(
-                mapped, g,
-                "mapped CSR diverged from the generator on {family} n={n}"
-            );
-
-            // Sequential SumSweep on the mapped view, cross-checked against
-            // the owned original and the u32-index compact layout — the
-            // kernels must not be able to tell the storages apart.
-            let t2 = Instant::now();
-            let ss = sweep::extremes(&mapped);
-            let solve_secs = t2.elapsed().as_secs_f64().max(1e-9);
-            let ss_owned = sweep::extremes(&g);
-            assert_eq!(
-                ss, ss_owned,
-                "mapped vs owned SumSweep diverged on {family} n={n}"
-            );
+            let ss = sweep::extremes(&g);
+            let solve_secs = t1.elapsed().as_secs_f64().max(1e-9);
             assert!(
                 4 * ss.sweeps <= n,
                 "SumSweep needed {}/{n} sweeps on {family} — pruning regressed",
                 ss.sweeps
-            );
-            let compact = CompactGraph::from_graph(&g).expect("family fits u32 indices");
-            let t3 = Instant::now();
-            let ss_compact = sweep::extremes(&compact);
-            let compact_secs = t3.elapsed().as_secs_f64().max(1e-9);
-            assert_eq!(
-                ss_compact, ss,
-                "compact-layout SumSweep diverged on {family} n={n}"
             );
             let mut push = |kernel: &str, res: congest_graph::SweepResult, secs: f64| {
                 rows.push(E11Row {
@@ -1322,8 +1277,6 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
                     n,
                     edges,
                     gen_ms: gen_secs * 1e3,
-                    load_ms: load_secs * 1e3,
-                    load_ratio,
                     kernel: kernel.to_string(),
                     sweeps: res.sweeps,
                     sweep_fraction: res.sweeps as f64 / n as f64,
@@ -1334,12 +1287,11 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
                 });
             };
             push("sumsweep", ss, solve_secs);
-            push("sumsweep-compact", ss_compact, compact_secs);
             #[cfg(feature = "parallel")]
             {
-                let t4 = Instant::now();
-                let par = sweep::par_extremes_with(&mapped, EdgeMetric::Weighted, 4);
-                let par_secs = t4.elapsed().as_secs_f64().max(1e-9);
+                let t2 = Instant::now();
+                let par = sweep::par_extremes_with(&g, EdgeMetric::Weighted, 4);
+                let par_secs = t2.elapsed().as_secs_f64().max(1e-9);
                 assert_eq!(
                     (par.diameter, par.radius),
                     (ss.diameter, ss.radius),
@@ -1351,16 +1303,11 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
             let _ = EdgeMetric::Weighted;
         }
     }
-    std::fs::remove_dir_all(&graph_dir).ok();
     let registry = MetricsRegistry::new();
     for r in &rows {
-        // Per-pipeline figures repeat on every kernel row of a (family, n).
-        let prefix = format!("e11.{}.n{}", r.family, r.n);
-        let pipeline = [("load_ms", r.load_ms), ("load_ratio", r.load_ratio)];
-        publish(&registry, &prefix, &pipeline);
         publish(
             &registry,
-            &format!("{prefix}.{}", r.kernel),
+            &format!("e11.{}.n{}.{}", r.family, r.n, r.kernel),
             &[
                 ("sweep_fraction", r.sweep_fraction),
                 ("solve_secs", r.solve_secs),
@@ -1372,8 +1319,6 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
             r.n.to_string(),
             r.edges.to_string(),
             format!("{:.0}ms", r.gen_ms),
-            format!("{:.3}ms", r.load_ms),
-            format!("{:.0}×", r.load_ratio),
             r.kernel.clone(),
             r.sweeps.to_string(),
             format!("{:.5}", r.sweep_fraction),
@@ -1398,12 +1343,9 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     .expect("write BENCH_giant.json");
     table.commentary = format!(
         "The scale ceiling, measured end to end. Each family streams its edges \
-         through the two-pass `GraphWriter` (no intermediate edge list), lands in \
-         the versioned binary format, and reopens via `open_mmap` in O(header) \
-         time — asserted ≥ 50× faster than regenerating, and typically far more. \
-         The mapped view, the owned original, and the u32-index compact layout \
-         are asserted to produce byte-identical SumSweep results, and pruning \
-         must certify D and R within n/4 sweeps at every size. Weights stay ≤ \
+         through the two-pass `GraphWriter` (no intermediate edge list) into \
+         memory, and pruning must certify D and R within n/4 sweeps at every \
+         size. Weights stay ≤ \
          {max_w} so every sweep runs the Dial bucket queue with bitset \
          frontiers. The grid family is capped at 2·10⁵ nodes: certifying the \
          radius of a grid takes Θ(√n) sweeps (near-tied central \

@@ -9,8 +9,8 @@
 //! parallel edges were supplied — hash identically (pinned by a proptest in
 //! `tests/properties.rs`).
 //!
-//! The digest is the graph identity behind batch grouping, the `.wdrg`
-//! file header and ablation provenance.
+//! The digest is the graph identity behind batch grouping and ablation
+//! provenance.
 //!
 //! # Examples
 //!
@@ -47,24 +47,10 @@ impl fmt::Display for GraphDigest {
 }
 
 impl WeightedGraph {
-    /// The stable FNV-1a content digest of this graph.
-    ///
-    /// For memory-mapped graphs this returns the digest recorded in the
-    /// file header in `O(1)` (the writer computed it from the same
-    /// canonical form); otherwise it streams the content in `O(m)`. Use
-    /// [`WeightedGraph::recompute_digest`] to force the streaming path —
-    /// e.g. [`crate::io`]'s verified open compares the two.
+    /// The stable FNV-1a content digest of this graph: streams `n` and
+    /// every canonical edge triple through the hash without allocating;
+    /// `O(m)` time.
     pub fn digest(&self) -> GraphDigest {
-        match self.mapped() {
-            Some(m) => GraphDigest(m.header().digest),
-            None => self.recompute_digest(),
-        }
-    }
-
-    /// The digest recomputed from the CSR content, ignoring any cached
-    /// header value: streams `n` and every canonical edge triple through
-    /// the hash without allocating; `O(m)` time.
-    pub fn recompute_digest(&self) -> GraphDigest {
         let mut hash = Fnv1a::new();
         hash.write_u64(self.n() as u64);
         for e in self.edges() {

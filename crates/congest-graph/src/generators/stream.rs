@@ -4,7 +4,7 @@
 //! [`GraphBuilder`](crate::GraphBuilder) — fine at 10³ nodes, a second copy
 //! of the whole graph at 10⁶. The families here instead *emit* edges,
 //! deterministically from a seed, straight into the two-pass
-//! [`GraphWriter`](crate::GraphWriter): the only allocations are the final
+//! [`GraphWriter`]: the only allocations are the final
 //! CSR arrays themselves, so a 10⁷-edge instance streams into memory without
 //! ever materializing an edge list.
 //!
@@ -22,10 +22,11 @@
 //!
 //! Every family is connected by construction and replayable: the emitter is
 //! a pure function of the spec, which is exactly the contract
-//! [`crate::io::build_streamed`]'s two-pass protocol needs.
+//! [`build_streamed`]'s two-pass protocol needs.
 
-use crate::graph::{NodeId, Weight, WeightedGraph};
-use crate::io::{build_streamed, StreamBuildError};
+use std::fmt;
+
+use crate::graph::{BuildGraphError, NodeId, Weight, WeightedGraph};
 use wdr_metrics::util::splitmix64;
 
 /// SplitMix64: the tiny, seedable, fully deterministic PRNG the emitters
@@ -143,7 +144,7 @@ impl StreamSpec {
         }
     }
 
-    /// Streams the family through a [`GraphWriter`](crate::GraphWriter) —
+    /// Streams the family through a [`GraphWriter`] —
     /// the whole point: no intermediate edge list at any size.
     ///
     /// # Errors
@@ -275,6 +276,245 @@ fn web_layered(
             sink(t, v, rng.weight(max_w));
         }
     }
+}
+
+/// Errors from the streaming [`GraphWriter`] pipeline.
+#[derive(Debug)]
+pub enum StreamBuildError {
+    /// An emitted edge failed [`GraphBuilder`](crate::GraphBuilder)-style
+    /// validation (out-of-range node, zero weight, self-loop).
+    Graph(BuildGraphError),
+    /// The emitter did not replay the same edge count across the counting
+    /// and filling passes (it must be deterministic).
+    ReplayMismatch {
+        /// Edges seen in the counting pass.
+        counted: u64,
+        /// Edges seen in the filling pass.
+        filled: u64,
+    },
+}
+
+impl fmt::Display for StreamBuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamBuildError::Graph(e) => write!(f, "{e}"),
+            StreamBuildError::ReplayMismatch { counted, filled } => write!(
+                f,
+                "edge emitter is not replayable: counted {counted} edges, refilled {filled}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StreamBuildError {}
+
+impl From<BuildGraphError> for StreamBuildError {
+    fn from(e: BuildGraphError) -> StreamBuildError {
+        StreamBuildError::Graph(e)
+    }
+}
+
+/// Streaming CSR assembler: edges flow in twice (count pass, fill pass) and
+/// come out as a finished [`WeightedGraph`] — no intermediate `Vec<Edge>`.
+///
+/// Peak memory is the final CSR plus one reusable row-sort scratch, roughly
+/// a third of what [`GraphBuilder`](crate::GraphBuilder) needs at the same
+/// size (which keeps the canonical edge list alive alongside the CSR while
+/// building). Parallel edges are merged to the minimum weight, exactly like
+/// the builder.
+///
+/// Most callers want [`build_streamed`], which drives the two passes from a
+/// replayable emitter closure; [`StreamSpec::build`] is built on it.
+pub struct GraphWriter {
+    n: usize,
+    filling: bool,
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+    weights: Vec<Weight>,
+    counted: u64,
+    filled: u64,
+    error: Option<BuildGraphError>,
+}
+
+impl GraphWriter {
+    /// Starts the counting pass for an `n`-node graph.
+    pub fn new(n: usize) -> GraphWriter {
+        GraphWriter {
+            n,
+            filling: false,
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
+            weights: Vec::new(),
+            counted: 0,
+            filled: 0,
+            error: None,
+        }
+    }
+
+    /// Feeds one undirected edge to the current pass.
+    ///
+    /// Invalid edges are recorded and surface as an error from
+    /// [`start_fill`](GraphWriter::start_fill) / [`finish`](GraphWriter::finish);
+    /// this method never panics on bad input.
+    pub fn edge(&mut self, u: NodeId, v: NodeId, w: Weight) {
+        if self.error.is_some() {
+            return;
+        }
+        if u >= self.n || v >= self.n {
+            self.error = Some(BuildGraphError::NodeOutOfRange {
+                node: u.max(v),
+                n: self.n,
+            });
+            return;
+        }
+        if w == 0 {
+            self.error = Some(BuildGraphError::ZeroWeight { edge: (u, v) });
+            return;
+        }
+        if u == v {
+            self.error = Some(BuildGraphError::SelfLoop { node: u });
+            return;
+        }
+        if self.filling {
+            self.filled += 1;
+            if self.filled > self.counted {
+                // Over-emission: drop on the floor; finish() reports the
+                // replay mismatch. Writing would run past the arrays.
+                return;
+            }
+            let cu = self.offsets[u];
+            self.targets[cu] = v;
+            self.weights[cu] = w;
+            self.offsets[u] += 1;
+            let cv = self.offsets[v];
+            self.targets[cv] = u;
+            self.weights[cv] = w;
+            self.offsets[v] += 1;
+        } else {
+            self.counted += 1;
+            self.offsets[u + 1] += 1;
+            self.offsets[v + 1] += 1;
+        }
+    }
+
+    /// Ends the counting pass: allocates the CSR arrays and switches to the
+    /// filling pass. The emitter must now replay the identical edges.
+    ///
+    /// # Errors
+    ///
+    /// The first validation error recorded during counting.
+    pub fn start_fill(&mut self) -> Result<(), StreamBuildError> {
+        if let Some(e) = self.error.take() {
+            return Err(e.into());
+        }
+        for i in 1..=self.n {
+            self.offsets[i] += self.offsets[i - 1];
+        }
+        let total = self.offsets[self.n];
+        self.targets = vec![0; total];
+        self.weights = vec![0; total];
+        // After the prefix sum, offsets[v] is already row v's start and
+        // doubles as its write cursor; filling advances it to row v's end
+        // == row (v+1)'s start, which finish() undoes with a right shift.
+        self.filling = true;
+        Ok(())
+    }
+
+    /// Ends the filling pass: sorts each row, merges parallel edges to the
+    /// minimum weight, and produces the graph.
+    ///
+    /// # Errors
+    ///
+    /// Validation errors from either pass, or
+    /// [`StreamBuildError::ReplayMismatch`] if the two passes disagreed.
+    pub fn finish(mut self) -> Result<WeightedGraph, StreamBuildError> {
+        if let Some(e) = self.error.take() {
+            return Err(e.into());
+        }
+        if !self.filling || self.filled != self.counted {
+            return Err(StreamBuildError::ReplayMismatch {
+                counted: self.counted,
+                filled: self.filled,
+            });
+        }
+        // Restore row starts (each offsets[v] advanced to its row end).
+        for i in (1..=self.n).rev() {
+            self.offsets[i] = self.offsets[i - 1];
+        }
+        self.offsets[0] = 0;
+
+        // Per-row sort + parallel-edge merge, compacting in place. Rows are
+        // processed in order with a single write cursor, so only one scratch
+        // buffer (reused across rows) is needed.
+        let mut scratch: Vec<(NodeId, Weight)> = Vec::new();
+        let mut write = 0usize;
+        let mut row_start = 0usize;
+        for v in 0..self.n {
+            let row_end = self.offsets[v + 1];
+            scratch.clear();
+            scratch.extend(
+                self.targets[row_start..row_end]
+                    .iter()
+                    .copied()
+                    .zip(self.weights[row_start..row_end].iter().copied()),
+            );
+            scratch.sort_unstable();
+            self.offsets[v] = write;
+            let mut last: Option<NodeId> = None;
+            for &(t, w) in &scratch {
+                if last == Some(t) {
+                    continue; // parallel edge; first (t, w) pair is minimal
+                }
+                self.targets[write] = t;
+                self.weights[write] = w;
+                write += 1;
+                last = Some(t);
+            }
+            row_start = row_end;
+        }
+        self.offsets[self.n] = write;
+        self.targets.truncate(write);
+        self.weights.truncate(write);
+        Ok(WeightedGraph::from_owned_csr(
+            self.offsets,
+            self.targets,
+            self.weights,
+        ))
+    }
+}
+
+/// Builds a graph by replaying a deterministic edge emitter twice through a
+/// [`GraphWriter`] — the streaming analogue of
+/// [`WeightedGraph::from_edges`], with no `Vec<Edge>` ever materialized.
+///
+/// `emit` is called twice with an edge sink and must produce the identical
+/// edge sequence both times (e.g. by reseeding a PRNG from a fixed seed).
+///
+/// # Errors
+///
+/// Same as [`GraphWriter::finish`].
+///
+/// # Examples
+///
+/// ```
+/// use congest_graph::generators::stream::build_streamed;
+/// let g = build_streamed(4, |sink| {
+///     for v in 1..4usize {
+///         sink(v - 1, v, 2);
+///     }
+/// })
+/// .unwrap();
+/// assert_eq!((g.n(), g.m()), (4, 3));
+/// ```
+pub fn build_streamed(
+    n: usize,
+    mut emit: impl FnMut(&mut dyn FnMut(NodeId, NodeId, Weight)),
+) -> Result<WeightedGraph, StreamBuildError> {
+    let mut writer = GraphWriter::new(n);
+    emit(&mut |u, v, w| writer.edge(u, v, w));
+    writer.start_fill()?;
+    emit(&mut |u, v, w| writer.edge(u, v, w));
+    writer.finish()
 }
 
 #[cfg(test)]
@@ -434,5 +674,62 @@ mod tests {
                 assert!(sweep::extremes(&g).is_connected());
             }
         }
+    }
+
+    #[test]
+    fn writer_merges_parallel_edges_like_builder() {
+        let g = build_streamed(3, |sink| {
+            sink(0, 1, 9);
+            sink(1, 0, 4);
+            sink(1, 2, 2);
+            sink(0, 1, 7);
+        })
+        .unwrap();
+        let reference =
+            WeightedGraph::from_edges(3, [(0, 1, 9), (1, 0, 4), (1, 2, 2), (0, 1, 7)]).unwrap();
+        assert_eq!(g, reference);
+        assert_eq!(g.edge_weight(0, 1), Some(4));
+    }
+
+    #[test]
+    fn writer_reports_validation_errors() {
+        let bad = build_streamed(3, |sink| sink(0, 3, 1));
+        assert!(matches!(
+            bad,
+            Err(StreamBuildError::Graph(
+                BuildGraphError::NodeOutOfRange { .. }
+            ))
+        ));
+        let bad = build_streamed(3, |sink| sink(0, 1, 0));
+        assert!(matches!(
+            bad,
+            Err(StreamBuildError::Graph(BuildGraphError::ZeroWeight { .. }))
+        ));
+        let bad = build_streamed(3, |sink| sink(2, 2, 1));
+        assert!(matches!(
+            bad,
+            Err(StreamBuildError::Graph(BuildGraphError::SelfLoop { .. }))
+        ));
+    }
+
+    #[test]
+    fn writer_detects_non_replayable_emitters() {
+        let mut calls = 0;
+        let bad = build_streamed(4, |sink| {
+            calls += 1;
+            for v in 1..(if calls == 1 { 4 } else { 3 }) {
+                sink(v - 1, v, 1);
+            }
+        });
+        assert!(matches!(bad, Err(StreamBuildError::ReplayMismatch { .. })));
+
+        let mut calls = 0;
+        let bad = build_streamed(4, |sink| {
+            calls += 1;
+            for v in 1..(if calls == 1 { 3 } else { 4 }) {
+                sink(v - 1, v, 1);
+            }
+        });
+        assert!(matches!(bad, Err(StreamBuildError::ReplayMismatch { .. })));
     }
 }

@@ -4,20 +4,11 @@
 //! weights (`w : E → ℕ⁺`, as in the paper's preliminaries), stored in
 //! compressed-sparse-row form for cache-friendly traversal. Graphs are built
 //! through [`GraphBuilder`], which validates weights and node indices, or
-//! loaded zero-copy from the binary on-disk format via
-//! [`WeightedGraph::open_mmap`](crate::io).
-//!
-//! Internally the CSR arrays live behind [`GraphStorage`]: either owned
-//! `Vec`s (built in memory) or a memory-mapped file region (borrowed
-//! zero-copy, see [`crate::io`]). Every accessor goes through the same slice
-//! views, so kernels are oblivious to the storage backing.
+//! streamed edge by edge through [`crate::generators::stream::GraphWriter`].
 
 use std::fmt;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-
-use crate::io::MappedCsr;
 
 /// Index of a node in a graph. Nodes of an `n`-node graph are `0..n`.
 pub type NodeId = usize;
@@ -100,37 +91,6 @@ impl fmt::Display for BuildGraphError {
 }
 
 impl std::error::Error for BuildGraphError {}
-
-/// Read-only CSR access shared by every shortest-path and sweep kernel.
-///
-/// Implemented by [`WeightedGraph`] (owned or memory-mapped storage alike)
-/// and the cache-compact [`crate::compact::CompactGraph`], so the kernels in
-/// [`crate::SsspWorkspace`] and [`crate::SweepWorkspace`] run unchanged over
-/// either representation and produce identical results.
-pub trait CsrGraph {
-    /// Number of nodes.
-    fn n(&self) -> usize;
-    /// Degree of `v`.
-    fn degree(&self, v: NodeId) -> usize;
-    /// Maximum edge weight `W` (1 for edgeless graphs).
-    fn max_weight(&self) -> Weight;
-    /// `(neighbor, weight)` pairs of `v` in ascending neighbor order.
-    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_;
-    /// Calls `f(u, w)` for every neighbor of `v`, in ascending order.
-    ///
-    /// The hot-kernel form of [`CsrGraph::neighbors`]: implementors override
-    /// it with a direct slice loop, which the optimizer compiles to the same
-    /// code as hand-indexed CSR arrays. The opaque iterator type above does
-    /// not reliably get that treatment inside generic kernels (measured ~1.7×
-    /// slower in the Dial relaxation loop), so every per-edge inner loop in
-    /// `SsspWorkspace` goes through this instead.
-    #[inline]
-    fn for_each_neighbor(&self, v: NodeId, f: &mut impl FnMut(NodeId, Weight)) {
-        for (u, w) in self.neighbors(v) {
-            f(u, w);
-        }
-    }
-}
 
 /// Incrementally builds a [`WeightedGraph`].
 ///
@@ -251,38 +211,14 @@ impl GraphBuilder {
     }
 }
 
-/// Backing storage of a [`WeightedGraph`]'s CSR arrays.
-///
-/// `Owned` is what [`GraphBuilder`] produces; `Mapped` borrows the arrays
-/// zero-copy out of a memory-mapped [`crate::io`] graph file (cheap to
-/// clone — clones share the mapping through an `Arc`).
-#[derive(Clone)]
-pub(crate) enum GraphStorage {
-    /// Heap-owned CSR arrays.
-    Owned {
-        offsets: Vec<usize>,
-        targets: Vec<NodeId>,
-        weights: Vec<Weight>,
-    },
-    /// CSR arrays borrowed from a shared memory-mapped graph file.
-    Mapped(Arc<MappedCsr>),
-}
-
-/// Which kind of storage backend (`GraphStorage`) backs a graph, for
-/// reporting.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum StorageKind {
-    /// Heap-owned CSR arrays (built in memory).
-    Owned,
-    /// Arrays borrowed zero-copy from a memory-mapped file.
-    Mapped,
-}
-
 /// An undirected graph with positive integer weights, in CSR form.
 ///
 /// This is the `(G, w)` of the paper: `G = (V, E)`, `w : E → ℕ⁺`. The
 /// *unweighted* view (`w* ≡ 1`) used for the network's hop structure is
 /// available via [`WeightedGraph::unweighted_view`].
+///
+/// Equality is content equality: the same CSR arrays (`max_weight` is
+/// derived from the weights, so it never decides a comparison).
 ///
 /// # Examples
 ///
@@ -295,9 +231,14 @@ pub enum StorageKind {
 /// let d = congest_graph::shortest_path::dijkstra(&g, 0);
 /// assert_eq!(d[3], Dist::from(30u64));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct WeightedGraph {
-    storage: GraphStorage,
+    /// Row offsets (`n + 1` entries; row `v` is `offsets[v]..offsets[v + 1]`).
+    offsets: Vec<usize>,
+    /// Neighbor of each directed CSR entry (each undirected edge twice).
+    targets: Vec<NodeId>,
+    /// Weight of each directed CSR entry, parallel to `targets`.
+    weights: Vec<Weight>,
     /// Cached `max_e w(e)` so the Dial/heap dispatch is `O(1)` per search.
     max_weight: Weight,
 }
@@ -314,29 +255,10 @@ impl WeightedGraph {
         debug_assert_eq!(*offsets.last().expect("offsets non-empty"), targets.len());
         let max_weight = weights.iter().copied().max().unwrap_or(1);
         WeightedGraph {
-            storage: GraphStorage::Owned {
-                offsets,
-                targets,
-                weights,
-            },
+            offsets,
+            targets,
+            weights,
             max_weight,
-        }
-    }
-
-    /// Wraps a memory-mapped CSR file (crate-internal; see [`crate::io`]).
-    pub(crate) fn from_mapped(map: Arc<MappedCsr>) -> WeightedGraph {
-        let max_weight = map.header().max_weight.max(1);
-        WeightedGraph {
-            storage: GraphStorage::Mapped(map),
-            max_weight,
-        }
-    }
-
-    /// The mapped backing, if this graph is memory-mapped.
-    pub(crate) fn mapped(&self) -> Option<&MappedCsr> {
-        match &self.storage {
-            GraphStorage::Owned { .. } => None,
-            GraphStorage::Mapped(m) => Some(m),
         }
     }
 
@@ -370,52 +292,16 @@ impl WeightedGraph {
         WeightedGraph::from_edges(n, edges.into_iter().map(|(u, v)| (u, v, 1)))
     }
 
-    /// The CSR row-offset array (`n + 1` entries; row `v` is
-    /// `offsets[v]..offsets[v + 1]`).
-    #[inline]
-    pub fn csr_offsets(&self) -> &[usize] {
-        match &self.storage {
-            GraphStorage::Owned { offsets, .. } => offsets,
-            GraphStorage::Mapped(m) => m.offsets(),
-        }
-    }
-
-    /// The CSR neighbor array (each undirected edge appears twice).
-    #[inline]
-    pub fn csr_targets(&self) -> &[NodeId] {
-        match &self.storage {
-            GraphStorage::Owned { targets, .. } => targets,
-            GraphStorage::Mapped(m) => m.targets(),
-        }
-    }
-
-    /// The CSR weight array, parallel to [`WeightedGraph::csr_targets`].
-    #[inline]
-    pub fn csr_weights(&self) -> &[Weight] {
-        match &self.storage {
-            GraphStorage::Owned { weights, .. } => weights,
-            GraphStorage::Mapped(m) => m.weights(),
-        }
-    }
-
-    /// Whether the CSR arrays are heap-owned or memory-mapped.
-    pub fn storage_kind(&self) -> StorageKind {
-        match &self.storage {
-            GraphStorage::Owned { .. } => StorageKind::Owned,
-            GraphStorage::Mapped(_) => StorageKind::Mapped,
-        }
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.csr_offsets().len() - 1
+        self.offsets.len() - 1
     }
 
     /// Number of (undirected, merged) edges.
     #[inline]
     pub fn m(&self) -> usize {
-        self.csr_targets().len() / 2
+        self.targets.len() / 2
     }
 
     /// Iterator over all nodes `0..n`.
@@ -442,19 +328,36 @@ impl WeightedGraph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        let offsets = self.csr_offsets();
-        let range = offsets[v]..offsets[v + 1];
-        self.csr_targets()[range.clone()]
+        let range = self.offsets[v]..self.offsets[v + 1];
+        self.targets[range.clone()]
             .iter()
             .copied()
-            .zip(self.csr_weights()[range].iter().copied())
+            .zip(self.weights[range].iter().copied())
+    }
+
+    /// Calls `f(u, w)` for every neighbor of `v`, in ascending order.
+    ///
+    /// The hot-kernel form of [`WeightedGraph::neighbors`]: a direct slice
+    /// loop over the row, which every per-edge inner loop in
+    /// [`crate::SsspWorkspace`] goes through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n`.
+    #[inline]
+    pub fn for_each_neighbor(&self, v: NodeId, f: &mut impl FnMut(NodeId, Weight)) {
+        let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
+        let targets = &self.targets[lo..hi];
+        let weights = &self.weights[lo..hi];
+        for i in 0..targets.len() {
+            f(targets[i], weights[i]);
+        }
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        let offsets = self.csr_offsets();
-        offsets[v + 1] - offsets[v]
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// The weight of edge `{u, v}`, or `None` if absent.
@@ -479,9 +382,9 @@ impl WeightedGraph {
     /// The same topology with all weights replaced by 1 (`w*` in the paper).
     pub fn unweighted_view(&self) -> WeightedGraph {
         WeightedGraph::from_owned_csr(
-            self.csr_offsets().to_vec(),
-            self.csr_targets().to_vec(),
-            vec![1; self.csr_targets().len()],
+            self.offsets.clone(),
+            self.targets.clone(),
+            vec![1; self.targets.len()],
         )
     }
 
@@ -496,7 +399,7 @@ impl WeightedGraph {
     /// Panics if `f` produces a zero weight.
     pub fn map_weights(&self, mut f: impl FnMut(Weight) -> Weight) -> WeightedGraph {
         let weights: Vec<Weight> = self
-            .csr_weights()
+            .weights
             .iter()
             .map(|&w| {
                 let w = f(w);
@@ -504,11 +407,7 @@ impl WeightedGraph {
                 w
             })
             .collect();
-        WeightedGraph::from_owned_csr(
-            self.csr_offsets().to_vec(),
-            self.csr_targets().to_vec(),
-            weights,
-        )
+        WeightedGraph::from_owned_csr(self.offsets.clone(), self.targets.clone(), weights)
     }
 
     /// `true` if the graph is connected (or has at most one node).
@@ -555,57 +454,11 @@ impl WeightedGraph {
     }
 }
 
-impl CsrGraph for WeightedGraph {
-    #[inline]
-    fn n(&self) -> usize {
-        WeightedGraph::n(self)
-    }
-
-    #[inline]
-    fn degree(&self, v: NodeId) -> usize {
-        WeightedGraph::degree(self, v)
-    }
-
-    #[inline]
-    fn max_weight(&self) -> Weight {
-        WeightedGraph::max_weight(self)
-    }
-
-    #[inline]
-    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        WeightedGraph::neighbors(self, v)
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, v: NodeId, f: &mut impl FnMut(NodeId, Weight)) {
-        let offsets = self.csr_offsets();
-        let (lo, hi) = (offsets[v], offsets[v + 1]);
-        let targets = &self.csr_targets()[lo..hi];
-        let weights = &self.csr_weights()[lo..hi];
-        for i in 0..targets.len() {
-            f(targets[i], weights[i]);
-        }
-    }
-}
-
-impl PartialEq for WeightedGraph {
-    /// Content equality: same CSR arrays, regardless of storage backing
-    /// (an owned build compares equal to its memory-mapped round-trip).
-    fn eq(&self, other: &WeightedGraph) -> bool {
-        self.csr_offsets() == other.csr_offsets()
-            && self.csr_targets() == other.csr_targets()
-            && self.csr_weights() == other.csr_weights()
-    }
-}
-
-impl Eq for WeightedGraph {}
-
 impl fmt::Debug for WeightedGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WeightedGraph")
             .field("n", &self.n())
             .field("m", &self.m())
-            .field("storage", &self.storage_kind())
             .field("edges", &self.edges().collect::<Vec<_>>())
             .finish()
     }
@@ -613,7 +466,7 @@ impl fmt::Debug for WeightedGraph {
 
 impl Serialize for WeightedGraph {
     /// Serializes as `{"n": .., "edges": [[u, v, w], ..]}` — the canonical
-    /// edge list, independent of storage backing.
+    /// edge list.
     fn serialize_json(&self, out: &mut String) {
         out.push_str("{\"n\":");
         out.push_str(&self.n().to_string());
@@ -658,7 +511,6 @@ mod tests {
         assert_eq!(g.edge_weight(0, 2), None);
         assert!(g.has_edge(0, 3));
         assert_eq!(g.max_weight(), 10);
-        assert_eq!(g.storage_kind(), StorageKind::Owned);
     }
 
     #[test]

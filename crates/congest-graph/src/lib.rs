@@ -19,7 +19,7 @@
 //!   loops run allocation-free, with a Dial bucket queue for small weights;
 //! * [`SweepWorkspace`] — the same reuse for whole extremes queries, plus
 //!   [`GraphDigest`], the stable FNV-1a content hash that batch grouping
-//!   and the `.wdrg` header key on;
+//!   and ablation provenance key on;
 //! * [`DistMatrix`] — flat single-allocation all-pairs distance tables;
 //! * [`rounding`] — the weight-rounding scheme `w_i` and approximate
 //!   bounded-hop distance `d̃^ℓ` (Lemma 3.2);
@@ -28,12 +28,8 @@
 //!   (Lemma 3.3);
 //! * [`contract`] — contraction of weight-1 edges (Lemma 4.3);
 //! * [`generators`] — deterministic and seeded-random workloads, including
-//!   the streaming million-node families of [`generators::stream`];
-//! * [`io`] — the versioned binary on-disk graph format with zero-copy
-//!   mmap loading ([`WeightedGraph::open_mmap`]) and the streaming
-//!   [`GraphWriter`];
-//! * [`compact`] — [`CompactGraph`], the `u32`-index CSR variant that keeps
-//!   10⁷-edge working sets cache- and RAM-friendly;
+//!   the streaming million-node families of [`generators::stream`] and
+//!   their two-pass [`generators::stream::GraphWriter`];
 //! * [`dot`] — Graphviz emission for the figure-regeneration harness.
 //!
 //! # Examples
@@ -60,20 +56,15 @@
 //! assert!(approx <= 1.6 * exact); // (1+ε)² with ε = 0.25
 //! ```
 
-// `deny` rather than `forbid`: the whole crate is safe code except the
-// explicitly-allowed mmap shim in `io::sys` and the slice reinterpretation
-// in `io::MappedCsr`, which document their invariants inline.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compact;
 pub mod contract;
 mod digest;
 mod dist;
 pub mod dot;
 pub mod generators;
 mod graph;
-pub mod io;
 mod matrix;
 pub mod metrics;
 pub mod overlay;
@@ -82,13 +73,9 @@ pub mod shortest_path;
 pub mod sweep;
 mod workspace;
 
-pub use compact::CompactGraph;
 pub use digest::GraphDigest;
 pub use dist::Dist;
-pub use graph::{
-    BuildGraphError, CsrGraph, Edge, GraphBuilder, NodeId, StorageKind, Weight, WeightedGraph,
-};
-pub use io::{GraphIoError, GraphWriter};
+pub use graph::{BuildGraphError, Edge, GraphBuilder, NodeId, Weight, WeightedGraph};
 pub use matrix::DistMatrix;
 pub use sweep::{EdgeMetric, SweepResult, SweepWorkspace};
 pub use workspace::{KernelCounters, SsspWorkspace, DIAL_MAX_WEIGHT};

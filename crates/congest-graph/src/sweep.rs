@@ -38,7 +38,7 @@
 //! bit-identical to the sequential path (pinned in `tests/kernels.rs`).
 
 use crate::dist::Dist;
-use crate::graph::{CsrGraph, NodeId};
+use crate::graph::{NodeId, WeightedGraph};
 use crate::workspace::SsspWorkspace;
 use std::cmp::Reverse;
 
@@ -80,9 +80,9 @@ impl SweepResult {
 }
 
 /// Runs one sweep under the requested metric into the workspace.
-fn sweep_dist<'a, G: CsrGraph>(
+fn sweep_dist<'a>(
     ws: &'a mut SsspWorkspace,
-    g: &G,
+    g: &WeightedGraph,
     s: NodeId,
     metric: EdgeMetric,
 ) -> &'a [Dist] {
@@ -130,12 +130,12 @@ fn disconnected(n: usize, sweeps: usize) -> SweepResult {
 /// assert_eq!(r.radius, Dist::from(6u64));
 /// assert!(r.sweeps <= g.n());
 /// ```
-pub fn extremes<G: CsrGraph>(g: &G) -> SweepResult {
+pub fn extremes(g: &WeightedGraph) -> SweepResult {
     extremes_with(g, EdgeMetric::Weighted)
 }
 
 /// Unweighted (topology) diameter/radius/witnesses by pruned BFS sweeps.
-pub fn extremes_unweighted<G: CsrGraph>(g: &G) -> SweepResult {
+pub fn extremes_unweighted(g: &WeightedGraph) -> SweepResult {
     extremes_with(g, EdgeMetric::Unweighted)
 }
 
@@ -144,7 +144,7 @@ pub fn extremes_unweighted<G: CsrGraph>(g: &G) -> SweepResult {
 /// Allocates a fresh [`SweepWorkspace`] per call; loops that query many
 /// graphs (or the same graph repeatedly) should hold a workspace and call
 /// [`SweepWorkspace::extremes_into`] instead.
-pub fn extremes_with<G: CsrGraph>(g: &G, metric: EdgeMetric) -> SweepResult {
+pub fn extremes_with(g: &WeightedGraph, metric: EdgeMetric) -> SweepResult {
     SweepWorkspace::new().extremes_into(g, metric)
 }
 
@@ -200,10 +200,7 @@ impl SweepWorkspace {
     }
 
     /// Pruned extremes under `metric`, reusing this workspace's buffers.
-    ///
-    /// Generic over [`CsrGraph`]: owned, memory-mapped, and compact graphs
-    /// all take this exact code path, so their results are bit-identical.
-    pub fn extremes_into<G: CsrGraph>(&mut self, g: &G, metric: EdgeMetric) -> SweepResult {
+    pub fn extremes_into(&mut self, g: &WeightedGraph, metric: EdgeMetric) -> SweepResult {
         let n = g.n();
         if n <= 1 {
             return trivial(n);
@@ -312,7 +309,7 @@ impl SweepWorkspace {
 
 /// All `n` eccentricities under `metric`, sequentially, reusing one
 /// workspace across sources (no per-source allocation after warm-up).
-pub fn all_eccentricities<G: CsrGraph>(g: &G, metric: EdgeMetric) -> Vec<Dist> {
+pub fn all_eccentricities(g: &WeightedGraph, metric: EdgeMetric) -> Vec<Dist> {
     let mut ws = SsspWorkspace::new();
     let mut out = Vec::with_capacity(g.n());
     for v in 0..g.n() {
@@ -332,7 +329,7 @@ pub fn all_eccentricities<G: CsrGraph>(g: &G, metric: EdgeMetric) -> Vec<Dist> {
 /// index-ordered chunk of the output, so the result is bit-identical to
 /// [`all_eccentricities`] regardless of thread count or scheduling.
 #[cfg(feature = "parallel")]
-pub fn par_all_eccentricities<G: CsrGraph + Sync>(g: &G, metric: EdgeMetric) -> Vec<Dist> {
+pub fn par_all_eccentricities(g: &WeightedGraph, metric: EdgeMetric) -> Vec<Dist> {
     let n = g.n();
     let threads = rayon::current_num_threads().max(1);
     let chunk = n.div_ceil(threads).max(1);
@@ -388,14 +385,14 @@ fn fold_eccentricities(eccs: &[Dist]) -> SweepResult {
 
 /// Exhaustive `n`-sweep extremes — the reference the pruned path is tested
 /// against, and the fallback strategy E9 benchmarks as "brute".
-pub fn brute_force_extremes<G: CsrGraph>(g: &G, metric: EdgeMetric) -> SweepResult {
+pub fn brute_force_extremes(g: &WeightedGraph, metric: EdgeMetric) -> SweepResult {
     fold_eccentricities(&all_eccentricities(g, metric))
 }
 
 /// Exhaustive extremes with the sweeps fanned out over the rayon pool;
 /// bit-identical to [`brute_force_extremes`] by the index-ordered reduction.
 #[cfg(feature = "parallel")]
-pub fn par_brute_force_extremes<G: CsrGraph + Sync>(g: &G, metric: EdgeMetric) -> SweepResult {
+pub fn par_brute_force_extremes(g: &WeightedGraph, metric: EdgeMetric) -> SweepResult {
     fold_eccentricities(&par_all_eccentricities(g, metric))
 }
 
@@ -419,11 +416,7 @@ pub fn par_brute_force_extremes<G: CsrGraph + Sync>(g: &G, metric: EdgeMetric) -
 ///
 /// Panics if `batch == 0`.
 #[cfg(feature = "parallel")]
-pub fn par_extremes_with<G: CsrGraph + Sync>(
-    g: &G,
-    metric: EdgeMetric,
-    batch: usize,
-) -> SweepResult {
+pub fn par_extremes_with(g: &WeightedGraph, metric: EdgeMetric, batch: usize) -> SweepResult {
     assert!(batch > 0, "batch must be positive");
     let n = g.n();
     if n <= 1 {

@@ -17,7 +17,7 @@
 //! tests here pin.
 
 use crate::dist::Dist;
-use crate::graph::{CsrGraph, NodeId, Weight};
+use crate::graph::{NodeId, Weight, WeightedGraph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -172,13 +172,10 @@ impl SsspWorkspace {
     /// Picks the Dial bucket queue when `g.max_weight() <= DIAL_MAX_WEIGHT`,
     /// the binary heap otherwise; the produced distances are identical.
     ///
-    /// Generic over [`CsrGraph`], so it runs on [`crate::WeightedGraph`]
-    /// (owned or memory-mapped) and [`crate::CompactGraph`] alike.
-    ///
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn dijkstra_into<G: CsrGraph>(&mut self, g: &G, s: NodeId) -> &[Dist] {
+    pub fn dijkstra_into(&mut self, g: &WeightedGraph, s: NodeId) -> &[Dist] {
         if g.max_weight() <= DIAL_MAX_WEIGHT {
             self.dial_into(g, s)
         } else {
@@ -192,7 +189,7 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn dijkstra_heap_into<G: CsrGraph>(&mut self, g: &G, s: NodeId) -> &[Dist] {
+    pub fn dijkstra_heap_into(&mut self, g: &WeightedGraph, s: NodeId) -> &[Dist] {
         self.dijkstra_mapped_into(g, s, Dist::INFINITY, |w| w)
     }
 
@@ -211,9 +208,9 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()` or `f` produces a zero weight.
-    pub fn dijkstra_mapped_into<G: CsrGraph>(
+    pub fn dijkstra_mapped_into(
         &mut self,
-        g: &G,
+        g: &WeightedGraph,
         s: NodeId,
         limit: Dist,
         mut f: impl FnMut(Weight) -> Weight,
@@ -256,7 +253,7 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn dial_into<G: CsrGraph>(&mut self, g: &G, s: NodeId) -> &[Dist] {
+    pub fn dial_into(&mut self, g: &WeightedGraph, s: NodeId) -> &[Dist] {
         let n = g.n();
         assert!(s < n, "source {s} out of range");
         self.counters.dial_runs += 1;
@@ -315,7 +312,7 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn bfs_into<G: CsrGraph>(&mut self, g: &G, s: NodeId) -> &[Dist] {
+    pub fn bfs_into(&mut self, g: &WeightedGraph, s: NodeId) -> &[Dist] {
         let n = g.n();
         assert!(s < n, "source {s} out of range");
         self.counters.bfs_runs += 1;
@@ -364,11 +361,7 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn dijkstra_with_hops_into<G: CsrGraph>(
-        &mut self,
-        g: &G,
-        s: NodeId,
-    ) -> (&[Dist], &[usize]) {
+    pub fn dijkstra_with_hops_into(&mut self, g: &WeightedGraph, s: NodeId) -> (&[Dist], &[usize]) {
         let n = g.n();
         assert!(s < n, "source {s} out of range");
         self.counters.hop_dijkstra_runs += 1;
@@ -412,7 +405,7 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn hop_bounded_into<G: CsrGraph>(&mut self, g: &G, s: NodeId, ell: usize) -> &[Dist] {
+    pub fn hop_bounded_into(&mut self, g: &WeightedGraph, s: NodeId, ell: usize) -> &[Dist] {
         let n = g.n();
         assert!(s < n, "source {s} out of range");
         self.counters.bellman_runs += 1;
@@ -455,7 +448,7 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn bounded_distance_into<G: CsrGraph>(&mut self, g: &G, s: NodeId, limit: Dist) -> &[Dist] {
+    pub fn bounded_distance_into(&mut self, g: &WeightedGraph, s: NodeId, limit: Dist) -> &[Dist] {
         let n = g.n();
         self.dijkstra_into(g, s);
         for d in &mut self.dist[..n] {
@@ -471,7 +464,7 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn eccentricity<G: CsrGraph>(&mut self, g: &G, s: NodeId) -> Dist {
+    pub fn eccentricity(&mut self, g: &WeightedGraph, s: NodeId) -> Dist {
         self.dijkstra_into(g, s)
             .iter()
             .copied()
@@ -484,7 +477,7 @@ impl SsspWorkspace {
     /// # Panics
     ///
     /// Panics if `s >= g.n()`.
-    pub fn unweighted_eccentricity<G: CsrGraph>(&mut self, g: &G, s: NodeId) -> Dist {
+    pub fn unweighted_eccentricity(&mut self, g: &WeightedGraph, s: NodeId) -> Dist {
         self.bfs_into(g, s)
             .iter()
             .copied()

@@ -7,10 +7,9 @@
 //! clone, a stray `collect` — into an immediate failure, mirroring the
 //! round engine's `zero_alloc` harness in `congest-sim`.
 //!
-//! The library itself is `#![deny(unsafe_code)]` (the only allowed
-//! exceptions are the documented mmap shim and slice reinterpretation in
-//! `io`); the `GlobalAlloc` shim comes from `wdr_metrics::heap`, which
-//! carries the only `unsafe` in the metrics stack. This file holds exactly
+//! The library itself is `#![forbid(unsafe_code)]`; the `GlobalAlloc`
+//! shim comes from `wdr_metrics::heap`, which carries the only `unsafe` in
+//! the metrics stack. This file holds exactly
 //! one `#[test]` so no sibling test can allocate concurrently and pollute
 //! the counters.
 

@@ -686,7 +686,7 @@ impl NodeProgram for CollectProgram {
         inbox: &[(NodeId, CollectMsg)],
         mb: &mut Mailbox<CollectMsg>,
     ) -> Status {
-        for (_, msg) in inbox {
+        for (from, msg) in inbox {
             match msg {
                 CollectMsg::Item(it) => {
                     if self.tree.parent.is_none() {
@@ -695,7 +695,14 @@ impl NodeProgram for CollectProgram {
                         self.queue.push(*it);
                     }
                 }
-                CollectMsg::EndOfStream => self.open_children -= 1,
+                // Only a listed child closes a stream: a faulted `bfs_tree`
+                // can lose the `Adopt` that would have listed the sender, and
+                // counting its marker would underflow `open_children`.
+                CollectMsg::EndOfStream => {
+                    if self.tree.children.binary_search(from).is_ok() {
+                        self.open_children -= 1;
+                    }
+                }
             }
         }
         if let Some(p) = self.tree.parent {
@@ -903,6 +910,40 @@ mod tests {
             "rounds = {} not pipelined",
             stats.rounds
         );
+    }
+
+    #[test]
+    fn collect_ignores_end_markers_from_non_children() {
+        // Path 0–1–2 with node 2's `Adopt` lost: 2 names 1 as its parent,
+        // but 1 lists no children.
+        let g = generators::path(3, 1);
+        let tree = vec![
+            TreeInfo {
+                parent: None,
+                children: vec![1],
+                depth: 0,
+            },
+            TreeInfo {
+                parent: Some(0),
+                children: vec![],
+                depth: 1,
+            },
+            TreeInfo {
+                parent: Some(1),
+                children: vec![],
+                depth: 2,
+            },
+        ];
+        let items = vec![vec![(0, 10)], vec![(1, 11)], vec![(2, 12)]];
+        let (got, stats) = collect_at_leader(&g, 0, &std_cfg(&g), &tree, &items).unwrap();
+        // Round 1: node 1 sends its own item, node 2 its item. Round 2: node
+        // 1 forwards node 2's item (items from a non-child are still
+        // forwarded) while node 2 sends its end marker. Round 3: node 1
+        // ignores that marker, having no open children, and closes its own
+        // stream. Round 4: that marker reaches the leader, which is done.
+        // Every item reaches the leader.
+        assert_eq!(got, vec![(0, 10), (1, 11), (2, 12)]);
+        assert_eq!(stats.rounds, 4);
     }
 
     use congest_graph::WeightedGraph;

@@ -157,14 +157,13 @@ pub enum Direction {
 
 /// Direction of `name`, by suffix convention.
 pub fn direction(name: &str) -> Direction {
-    const HIGHER: [&str; 9] = [
+    const HIGHER: [&str; 8] = [
         ".speedup",
         ".batch_speedup",
         ".rounds_per_sec",
         ".nodes_per_sec",
         ".edges_per_sec",
         ".scenarios_per_sec",
-        ".load_ratio",
         ".samples",
         ".count",
     ];
@@ -676,8 +675,12 @@ mod tests {
             ("conformance.q.c_max", true, Lower),
             ("conformance.q.samples", false, Higher),
             ("e8.n48.parallel.t4.speedup", true, Higher),
-            ("e11.power_law.n1000000.load_ms", false, Lower),
-            ("e11.power_law.n1000000.load_ratio", false, Higher),
+            ("e11.power_law.n1000000.sumsweep.solve_secs", false, Lower),
+            (
+                "e11.power_law.n1000000.sumsweep.sweep_fraction",
+                true,
+                Lower,
+            ),
             (
                 "e11.power_law.n1000000.sumsweep.nodes_per_sec",
                 false,
