@@ -54,10 +54,6 @@ fn main() {
         eprintln!("[tables] running E6…");
         outputs.push(experiments::e6(quick));
     }
-    if run("e7") {
-        eprintln!("[tables] running E7…");
-        outputs.push(experiments::e7(quick));
-    }
     if run("e8") {
         eprintln!("[tables] running E8…");
         outputs.push(experiments::e8(quick, &out_dir));

@@ -1,4 +1,5 @@
-//! The experiments E1–E7, F1–F4 and ablations A1–A4 of DESIGN.md §4.
+//! The experiments E1–E6, E8, E9, E11–E13, F1–F4 and ablations A1–A4 of
+//! DESIGN.md §4.
 //!
 //! Every function is deterministic given its internal seeds; `quick = true`
 //! trims the sweep sizes (the default for `cargo bench`), `quick = false`
@@ -582,97 +583,6 @@ pub fn e6(quick: bool) -> ExperimentOutput {
         .into();
     out.tables.push(comp);
     out
-}
-
-/// E7: the fault sweep — drop rate × crash count on a fixed seeded graph,
-/// measuring the rounds overhead and answer quality of the reliable-delivery
-/// layer ([`congest_algos::resilient::resilient_bfs`]).
-///
-/// (Planned as "E3" in the fault-injection design note; renamed E7 because
-/// the E3 slot was already taken by the D-sweep above.)
-pub fn e7(quick: bool) -> ExperimentOutput {
-    use congest_algos::resilient::{resilient_bfs, DegradationReport};
-    use congest_sim::reliable::ReliablePolicy;
-    use congest_sim::FaultPlan;
-
-    let n = if quick { 24 } else { 48 };
-    let g = family(n, 4, 7000);
-    let base_cfg = || SimConfig::standard(g.n(), g.max_weight()).with_max_rounds(100_000);
-    let policy = ReliablePolicy::default();
-
-    let mut ws = congest_graph::SsspWorkspace::new();
-    let clean = resilient_bfs(&g, 0, &base_cfg(), policy).expect("fault-free run succeeds");
-    let clean_report = DegradationReport::evaluate_with(&g, 0, &clean, &mut ws);
-    assert_eq!(clean_report.correct, g.n(), "fault-free baseline is exact");
-    let baseline = clean.stats.rounds.max(1);
-
-    let mut table = Table::new(
-        "E7",
-        "Fault sweep: reliable-BFS overhead and answer quality vs drop rate × crashes",
-        &[
-            "drop rate",
-            "crashes",
-            "rounds",
-            "overhead ×",
-            "retransmissions",
-            "dropped msgs",
-            "exact/degraded/failed",
-            "correct fraction",
-        ],
-    );
-    let drop_rates: &[f64] = if quick {
-        &[0.0, 0.1, 0.3]
-    } else {
-        &[0.0, 0.05, 0.1, 0.2, 0.3]
-    };
-    let mut worst_overhead = 1.0f64;
-    let mut worst_quality = 1.0f64;
-    for &drop in drop_rates {
-        for crashes in [0usize, 1, 2] {
-            let mut plan = FaultPlan::new(7100 + crashes as u64).with_drop_rate(drop);
-            for c in 0..crashes {
-                // Transient mid-run crashes of non-leader nodes; the node
-                // recovers with its state intact and retransmission catches
-                // it up.
-                let node = (1 + (c * (n - 2)) / crashes).min(n - 1);
-                plan = plan.with_crash(node, 2 + c, Some(6 + 2 * c));
-            }
-            let run = resilient_bfs(&g, 0, &base_cfg().with_faults(plan), policy)
-                .expect("faulty run terminates");
-            let report = DegradationReport::evaluate_with(&g, 0, &run, &mut ws);
-            let overhead = run.stats.rounds as f64 / baseline as f64;
-            worst_overhead = worst_overhead.max(overhead);
-            worst_quality = worst_quality.min(report.correct_fraction());
-            if drop == 0.0 && crashes == 0 {
-                assert_eq!(
-                    run.stats.rounds, baseline,
-                    "all-zero plan must cost exactly the clean run"
-                );
-                assert_eq!(report.exact, g.n());
-            }
-            table.push(vec![
-                format!("{drop:.2}"),
-                crashes.to_string(),
-                run.stats.rounds.to_string(),
-                format!("{overhead:.2}"),
-                run.stats.resilience.retransmissions.to_string(),
-                run.stats.resilience.dropped_messages.to_string(),
-                format!("{}/{}/{}", report.exact, report.degraded, report.failed),
-                format!("{:.3}", report.correct_fraction()),
-            ]);
-        }
-    }
-    table.commentary = format!(
-        "Ack/retransmit delivery (max {} retries, exponential backoff) masks message loss \
-         at the cost of extra rounds: worst overhead ×{worst_overhead:.2} across the sweep, \
-         worst per-node correctness {worst_quality:.3}. The zero-fault row costs exactly \
-         the clean baseline ({baseline} rounds) — the fault oracle is pay-as-you-go.",
-        policy.max_retries
-    );
-    ExperimentOutput {
-        tables: vec![table],
-        artifacts: vec![],
-    }
 }
 
 /// The E8 gossip workload: every node broadcasts a running digest each
@@ -2125,7 +2035,6 @@ pub fn run_all(quick: bool, out_dir: &std::path::Path) -> Vec<ExperimentOutput> 
         e4(quick),
         e5(quick),
         e6(quick),
-        e7(quick),
         e8(quick, out_dir),
         e9(quick, out_dir),
         e11(quick, out_dir),

@@ -495,9 +495,7 @@ mod tests {
 
     #[test]
     fn round_trips_a_faulty_trace_and_reports_the_faults() {
-        use congest_algos::resilient::resilient_bfs;
-        use congest_sim::reliable::ReliablePolicy;
-        use congest_sim::FaultPlan;
+        use congest_sim::{FaultPlan, SimError};
 
         let g = congest_graph::generators::grid(4, 4, 1);
         let collector = Arc::new(CollectingTracer::default());
@@ -532,13 +530,25 @@ mod tests {
                     .with_drop_rate(0.2)
                     .with_crash(5, 2, Some(4)),
             );
-        let run = resilient_bfs(&g, 0, &cfg, ReliablePolicy::default()).unwrap();
-        assert!(run.stats.resilience.dropped_messages > 0);
+        // A node that never hears a `Token` never joins: the run hits the cap.
+        let run = primitives::bfs_tree(&g, 0, &cfg);
+        assert!(
+            matches!(run, Err(SimError::RoundLimitExceeded { .. })),
+            "{run:?}"
+        );
         telemetry.flush();
 
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let parsed = parse_trace(&text).unwrap();
-        assert_eq!(parsed, collector.events());
+        // `parse_trace` skips `SimFailed` lines; the failed run emitted one.
+        let mut expected = collector.events();
+        let before = expected.len();
+        expected.retain(|e| !matches!(e, TraceEvent::SimFailed { .. }));
+        assert_eq!(before - expected.len(), 1);
+        assert_eq!(parsed, expected);
+        assert!(parsed
+            .iter()
+            .any(|e| matches!(e, TraceEvent::MessageDropped { .. })));
 
         let faults = fault_table(&parsed);
         assert!(faults

@@ -20,7 +20,7 @@
 //! * [`oracle`] — runs one scenario and checks it: exact-answer agreement
 //!   for the classical baselines, the `(1+o(1))` sandwich for
 //!   [`congest_wdr::algorithm::quantum_weighted`] with the `o(1)` term as
-//!   the explicit tolerance [`oracle::o1_tolerance`], Quality/Confidence
+//!   the explicit tolerance [`oracle::o1_tolerance`], Confidence
 //!   consistency under faults, seed determinism, and no-panic totality.
 //! * [`envelope`] — trace-derived round counts fitted against the
 //!   [`congest_wdr::table_one`] asymptotic rows: per-regime constants with

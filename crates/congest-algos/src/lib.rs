@@ -20,10 +20,7 @@
 //!   (`O(|S| + D)` rounds);
 //! * [`three_halves`] — the classical `Õ(√n + D)` 3/2-approximation of the
 //!   unweighted diameter (Table 1's [3, 15] rows);
-//! * [`sssp`] — `(1+o(1))`-approximate weighted SSSP as a public API;
-//! * [`resilient`] — fault-tolerant counterparts over the simulator's
-//!   reliable ack/retransmit layer, with degradation scoring against the
-//!   centralized references (for the bench fault-sweep experiment).
+//! * [`sssp`] — `(1+o(1))`-approximate weighted SSSP as a public API.
 //!
 //! Every distributed procedure is tested for *exact agreement* with the
 //! centralized reference implementations in [`congest_graph`].
@@ -56,7 +53,6 @@ pub mod bounded_sssp;
 pub mod multi_bfs;
 pub mod multi_source;
 pub mod overlay_net;
-pub mod resilient;
 pub mod skeleton;
 pub mod sssp;
 pub mod three_halves;

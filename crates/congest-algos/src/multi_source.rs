@@ -397,10 +397,12 @@ mod tests {
     use super::*;
     use congest_graph::generators;
     use congest_graph::rounding::approx_hop_bounded;
-    use congest_sim::{FaultPlan, Network, Quality};
+    use congest_sim::telemetry::CollectingTracer;
+    use congest_sim::{FaultPlan, Network, Telemetry, TraceEvent};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::sync::Arc;
 
     fn cfg(g: &WeightedGraph) -> SimConfig {
         SimConfig::standard(g.n(), g.max_weight()).with_max_rounds(10_000_000)
@@ -504,32 +506,27 @@ mod tests {
     }
 
     /// What one stretched execution observably produces: `approx` as bits,
-    /// `repr`, `failed` and quality per node, then the run's statistics.
+    /// `repr` and `failed` per node, then the run's statistics and its
+    /// trace-event sequence (every drop, crash and recovery included).
     type Observed = (
-        Vec<(Vec<u64>, Vec<Option<(u32, u64)>>, bool, Quality)>,
+        Vec<(Vec<u64>, Vec<Option<(u32, u64)>>, bool)>,
         RoundStats,
+        Vec<TraceEvent>,
     );
 
     fn observe<P>(g: &WeightedGraph, cfg: &SimConfig, make: impl Fn() -> P) -> Observed
     where
         P: NodeProgram<Output = (Vec<ApproxDist>, Vec<Option<(u32, u64)>>, bool)>,
     {
-        let mut net = Network::new(g, 0, cfg.clone(), |_, _| make());
-        let out = net
-            .run_with_quality()
-            .expect("stretched execution succeeds");
+        let tracer = Arc::new(CollectingTracer::default());
+        let cfg = cfg.clone().with_telemetry(Telemetry::new(tracer.clone()));
+        let mut net = Network::new(g, 0, cfg, |_, _| make());
+        let out = net.run().expect("stretched execution succeeds");
         let out = out
             .into_iter()
-            .map(|((best, repr, failed), quality)| {
-                (
-                    best.iter().map(|d| d.to_bits()).collect(),
-                    repr,
-                    failed,
-                    quality,
-                )
-            })
+            .map(|(best, repr, failed)| (best.iter().map(|d| d.to_bits()).collect(), repr, failed))
             .collect();
-        (out, net.stats().clone())
+        (out, net.stats().clone(), tracer.events())
     }
 
     /// A stretched execution's inputs: graph, `(source, delay)` schedule,
@@ -590,8 +587,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// Sleeping between events changes nothing observable: the same
-        /// estimates, wire representations, failure flags, per-node
-        /// qualities and statistics as stepping every node every round.
+        /// estimates, wire representations, failure flags, statistics and
+        /// trace events as stepping every node every round.
         #[test]
         fn sleeping_multi_source_matches_dense(case in arb_stretched()) {
             let (g, schedule, scheme, plan) = case;

@@ -25,10 +25,9 @@
 //!   for networks without a pre-defined leader;
 //! * injects deterministic, seed-driven **[`faults`]** (message drops,
 //!   link throttles, node crashes, adversarial bursts) when a
-//!   [`FaultPlan`] is attached, reporting per-node output [`Quality`] and
-//!   a separate [`ResilienceBudget`] so headline round counts stay
-//!   comparable to the lossless model — with an ack/retransmit
-//!   [`reliable`] layer to mask the losses;
+//!   [`FaultPlan`] is attached, counting what they cost in a separate
+//!   [`ResilienceBudget`] so headline round counts stay comparable to
+//!   the lossless model;
 //! * counts into a metrics registry through the **[`metrics`]** bundle
 //!   [`SimMetrics`], a [`Tracer`] attached with
 //!   [`SimConfig::with_telemetry`]: cross-run counters and per-round
@@ -62,7 +61,6 @@ pub mod metrics;
 mod model;
 mod network;
 pub mod primitives;
-pub mod reliable;
 pub mod telemetry;
 
 pub use faults::FaultPlan;
@@ -71,5 +69,5 @@ pub use model::{
     bit_len, Bandwidth, MaybeSend, MaybeSendSync, MessageRecord, NodeCtx, Parallelism, Payload,
     ResilienceBudget, RoundStats, SimConfig, SimError, Status, DEFAULT_MESSAGE_LOG_CAP,
 };
-pub use network::{run_phase, Mailbox, Network, NodeProgram, Quality};
+pub use network::{run_phase, Mailbox, Network, NodeProgram};
 pub use telemetry::{Telemetry, TraceEvent, Tracer};

@@ -220,12 +220,12 @@ pub const DEFAULT_MESSAGE_LOG_CAP: usize = 4_000_000;
 /// How the network executes the per-node compute phase of each round.
 ///
 /// The two engines are **bit-identical** in every observable — outputs,
-/// [`RoundStats`], per-node [`crate::Quality`], and the emitted trace-event
-/// sequence — because node programs only read their own inbox and write
-/// their own outbox during compute, and the merge phase always processes
-/// outboxes in ascending sender order on the calling thread (fault
-/// decisions are pure hashes of their coordinates, so they cannot observe
-/// scheduling either). See DESIGN.md §"Round engine".
+/// [`RoundStats`], and the emitted trace-event sequence — because node
+/// programs only read their own inbox and write their own outbox during
+/// compute, and the merge phase always processes outboxes in ascending
+/// sender order on the calling thread (fault decisions are pure hashes of
+/// their coordinates, so they cannot observe scheduling either). See
+/// DESIGN.md §"Round engine".
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum Parallelism {
     /// Run nodes one after another on the calling thread (the default).
@@ -349,17 +349,15 @@ pub struct MessageRecord {
     pub bits: u32,
 }
 
-/// Fault and recovery overhead, accounted separately from the algorithmic
-/// counters of [`RoundStats`].
+/// Fault overhead, accounted separately from the algorithmic counters of
+/// [`RoundStats`].
 ///
 /// The paper's round counts (e.g. Theorem 1.1's
 /// `Õ(min{n^{9/10} D^{3/10}, n})`) assume a lossless network; this budget
 /// keeps those headline numbers comparable under faults by tracking what
-/// the fault model cost *on top*: messages the network discarded, rounds
-/// nodes spent crashed, and the retransmission traffic the
-/// [`crate::reliable`] layer added to mask the losses. All fields are zero
-/// for a fault-free run, so `RoundStats` equality with the ideal path is
-/// preserved exactly.
+/// the fault model cost *on top*: messages the network discarded and
+/// rounds nodes spent crashed. All fields are zero for a fault-free run,
+/// so `RoundStats` equality with the ideal path is preserved exactly.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct ResilienceBudget {
     /// Messages the fault model discarded (any [`crate::faults::DropReason`]).
@@ -370,16 +368,10 @@ pub struct ResilienceBudget {
     pub throttled_messages: u64,
     /// Total `(node, round)` pairs in which a node was crashed.
     pub crashed_node_rounds: u64,
-    /// Data frames re-sent by the reliable layer after an ack timeout.
-    pub retransmissions: u64,
-    /// Acknowledgement frames sent by the reliable layer.
-    pub ack_messages: u64,
-    /// Data frames the reliable layer abandoned after exhausting retries.
-    pub gave_up: u64,
 }
 
 impl ResilienceBudget {
-    /// `true` if no fault or recovery overhead was recorded.
+    /// `true` if no fault overhead was recorded.
     pub fn is_zero(&self) -> bool {
         *self == ResilienceBudget::default()
     }
@@ -390,9 +382,6 @@ impl ResilienceBudget {
         self.dropped_bits += other.dropped_bits;
         self.throttled_messages += other.throttled_messages;
         self.crashed_node_rounds += other.crashed_node_rounds;
-        self.retransmissions += other.retransmissions;
-        self.ack_messages += other.ack_messages;
-        self.gave_up += other.gave_up;
     }
 }
 
@@ -407,7 +396,7 @@ pub struct RoundStats {
     pub bits: u64,
     /// The largest per-channel bit load observed in any single round.
     pub max_channel_bits: u32,
-    /// Fault and recovery overhead (all zero without faults); see
+    /// Fault overhead (all zero without faults); see
     /// [`ResilienceBudget`].
     pub resilience: ResilienceBudget,
     /// Individual messages (empty unless logging was enabled).
@@ -441,11 +430,10 @@ impl fmt::Display for RoundStats {
         if !self.resilience.is_zero() {
             write!(
                 f,
-                "; faults: {} dropped ({} bits), {} crashed node-rounds, {} retransmissions",
+                "; faults: {} dropped ({} bits), {} crashed node-rounds",
                 self.resilience.dropped_messages,
                 self.resilience.dropped_bits,
-                self.resilience.crashed_node_rounds,
-                self.resilience.retransmissions
+                self.resilience.crashed_node_rounds
             )?;
         }
         Ok(())

@@ -6,9 +6,8 @@ use crate::model::{
 };
 use crate::telemetry::{BandwidthProfile, TraceEvent};
 use congest_graph::{NodeId, WeightedGraph};
-use serde::Serialize;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 #[cfg(feature = "parallel")]
 use crate::model::Parallelism;
@@ -59,10 +58,6 @@ pub struct Mailbox<M> {
 }
 
 impl<M: Payload> Mailbox<M> {
-    pub(crate) fn new() -> Mailbox<M> {
-        Mailbox { out: Vec::new() }
-    }
-
     pub(crate) fn with_capacity(capacity: usize) -> Mailbox<M> {
         Mailbox {
             out: Vec::with_capacity(capacity),
@@ -83,14 +78,6 @@ impl<M: Payload> Mailbox<M> {
             }
             self.out.push((last, msg));
         }
-    }
-
-    /// Moves every queued message to the back of `scratch`, leaving this
-    /// mailbox empty but with its buffer capacity intact — the
-    /// reuse-friendly alternative to moving the buffer out and allocating a
-    /// fresh one next round.
-    pub fn drain_into(&mut self, scratch: &mut Vec<(NodeId, M)>) {
-        scratch.append(&mut self.out);
     }
 }
 
@@ -179,8 +166,6 @@ pub struct Network<P: NodeProgram> {
     profile: Option<BandwidthProfile>,
     /// Compiled fault plan (when [`SimConfig::with_faults`] is set).
     faults: Option<FaultOracle>,
-    /// Senders whose messages to node `v` the fault model discarded.
-    lost_from: Vec<BTreeSet<NodeId>>,
     /// Crash state of each node in the round most recently executed.
     crashed_now: Vec<bool>,
     /// How many entries of `crashed_now` are set.
@@ -188,8 +173,6 @@ pub struct Network<P: NodeProgram> {
     /// The next round whose crash state may differ from the last one's (a
     /// crash-window boundary); `usize::MAX` if none, or without faults.
     crash_check: usize,
-    /// `true` for nodes that were crashed in at least one executed round.
-    ever_crashed: Vec<bool>,
     /// Whether the one-time message-log truncation warning fired.
     log_truncated: bool,
 }
@@ -230,34 +213,6 @@ struct ChannelLoad {
     count: u64,
     /// `to`'s position in the sender's neighbor list (the `chan_slot` key).
     pos: u32,
-}
-
-/// Per-node delivery quality of a run under a fault plan.
-///
-/// Returned by [`Network::run_with_quality`]; without faults every node is
-/// [`Quality::Exact`].
-#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
-pub enum Quality {
-    /// The node saw every message addressed to it and missed no rounds:
-    /// its output is what the ideal lossless network would have produced.
-    Exact,
-    /// The node's output may be stale or wrong: the fault model discarded
-    /// at least one message addressed to it, or the node itself spent
-    /// rounds crashed (in which case `missing_sources` may be empty).
-    Degraded {
-        /// Senders whose messages to this node were lost, ascending.
-        missing_sources: Vec<NodeId>,
-    },
-    /// The node was crashed when the network quiesced; its output is
-    /// whatever state it held when it went down.
-    Failed,
-}
-
-impl Quality {
-    /// `true` for [`Quality::Exact`].
-    pub fn is_exact(&self) -> bool {
-        *self == Quality::Exact
-    }
 }
 
 impl<P: NodeProgram> Network<P> {
@@ -326,11 +281,9 @@ impl<P: NodeProgram> Network<P> {
             round_peak: 0,
             profile,
             faults,
-            lost_from: vec![BTreeSet::new(); n],
             crashed_now: vec![false; n],
             crashed: 0,
             crash_check,
-            ever_crashed: vec![false; n],
             log_truncated: false,
         }
     }
@@ -436,7 +389,6 @@ impl<P: NodeProgram> Network<P> {
                         self.stats.resilience.dropped_messages += 1;
                         self.stats.resilience.dropped_bits += u64::from(bits);
                         self.stats.resilience.throttled_messages += 1;
-                        self.lost_from[to].insert(from);
                         self.config
                             .telemetry
                             .emit_with(|| TraceEvent::LinkThrottled {
@@ -451,7 +403,6 @@ impl<P: NodeProgram> Network<P> {
                 if let Some(reason) = oracle.drops(round, from, to, index) {
                     self.stats.resilience.dropped_messages += 1;
                     self.stats.resilience.dropped_bits += u64::from(bits);
-                    self.lost_from[to].insert(from);
                     self.config
                         .telemetry
                         .emit_with(|| TraceEvent::MessageDropped {
@@ -466,7 +417,6 @@ impl<P: NodeProgram> Network<P> {
                 if !oracle.node_alive(to, round) {
                     self.stats.resilience.dropped_messages += 1;
                     self.stats.resilience.dropped_bits += u64::from(bits);
-                    self.lost_from[to].insert(from);
                     self.config
                         .telemetry
                         .emit_with(|| TraceEvent::MessageDropped {
@@ -583,7 +533,6 @@ impl<P: NodeProgram> Network<P> {
                     }
                     self.crashed_now[v] = crashed;
                     if crashed {
-                        self.ever_crashed[v] = true;
                         self.crashed += 1;
                     }
                 }
@@ -674,7 +623,8 @@ impl<P: NodeProgram> Network<P> {
                 max_channel_bits,
             });
         // A crashed node cannot act, so it does not hold up quiescence; if
-        // the network settles while it is down, its quality is `Failed`.
+        // the network settles while it is down, its output is whatever state
+        // it held when it went down.
         let quiescent = self.pending_to.is_empty() && {
             let done: usize = self.done.iter().map(|w| w.count_ones() as usize).sum();
             let not_done = self.n() - done;
@@ -831,48 +781,6 @@ impl<P: NodeProgram> Network<P> {
             .zip(&self.ctxs)
             .map(|(p, c)| p.finish(c))
             .collect())
-    }
-
-    /// Runs until quiescence and returns every node's output tagged with
-    /// its delivery [`Quality`].
-    ///
-    /// Without a fault plan every node is [`Quality::Exact`]; under faults
-    /// a node is [`Quality::Degraded`] when the fault model discarded a
-    /// message addressed to it (listing the affected senders) or when it
-    /// spent rounds crashed, and [`Quality::Failed`] when it was down at
-    /// the moment the network quiesced.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::run`].
-    pub fn run_with_quality(&mut self) -> Result<Vec<(P::Output, Quality)>, SimError> {
-        self.run_to_quiescence()?;
-        let qualities = self.qualities();
-        let programs = std::mem::take(&mut self.programs);
-        Ok(programs
-            .into_iter()
-            .zip(&self.ctxs)
-            .map(|(p, c)| p.finish(c))
-            .zip(qualities)
-            .collect())
-    }
-
-    /// The per-node delivery quality accumulated so far (see
-    /// [`Network::run_with_quality`]).
-    pub fn qualities(&self) -> Vec<Quality> {
-        (0..self.ctxs.len()).map(|v| self.quality_of(v)).collect()
-    }
-
-    fn quality_of(&self, v: NodeId) -> Quality {
-        if self.crashed_now[v] {
-            Quality::Failed
-        } else if self.ever_crashed[v] || !self.lost_from[v].is_empty() {
-            Quality::Degraded {
-                missing_sources: self.lost_from[v].iter().copied().collect(),
-            }
-        } else {
-            Quality::Exact
-        }
     }
 
     /// Runs until quiescence, keeping the programs in place (use
@@ -1205,7 +1113,7 @@ mod tests {
         use crate::faults::FaultPlan;
 
         // Forwarding on a path with every message dropped: only the leader
-        // knows its value; the first hop is degraded and names the sender.
+        // knows its value.
         let g = generators::path(3, 1);
         let cfg = SimConfig::standard(3, 1)
             .with_max_rounds(50)
@@ -1214,16 +1122,9 @@ mod tests {
             value: None,
             deadline: 5,
         });
-        let out = net.run_with_quality().unwrap();
-        assert_eq!(out[0].0, Some(0));
-        assert_eq!(out[0].1, Quality::Exact, "the leader lost nothing");
-        assert_eq!(out[1].0, None);
-        assert_eq!(
-            out[1].1,
-            Quality::Degraded {
-                missing_sources: vec![0]
-            }
-        );
+        let out = net.run().unwrap();
+        assert_eq!(out[0], Some(0));
+        assert_eq!(out[1], None);
         assert!(net.stats().resilience.dropped_messages > 0);
     }
 
@@ -1239,9 +1140,9 @@ mod tests {
             value: None,
             deadline: 5,
         });
-        let out = net.run_with_quality().unwrap();
-        assert_eq!(out[1].0, Some(1), "the healthy hop still hears the leader");
-        assert_eq!(out[2].1, Quality::Failed);
+        let out = net.run().unwrap();
+        assert_eq!(out[1], Some(1), "the healthy hop still hears the leader");
+        assert_eq!(out[2], None, "the crashed node heard nothing");
         assert!(net.stats().resilience.crashed_node_rounds > 0);
     }
 
@@ -1288,13 +1189,9 @@ mod tests {
                 deadline: 10,
             },
         });
-        let out = net.run_with_quality().unwrap();
-        assert_eq!(out[1].0, Some(1), "recovered node processed the re-send");
-        assert!(
-            matches!(out[1].1, Quality::Degraded { .. }),
-            "but it is still flagged: it missed rounds and a message"
-        );
-        assert_eq!(out[2].0, Some(2), "and forwarded onward after recovery");
+        let out = net.run().unwrap();
+        assert_eq!(out[1], Some(1), "recovered node processed the re-send");
+        assert_eq!(out[2], Some(2), "and forwarded onward after recovery");
     }
 
     #[test]

@@ -244,11 +244,16 @@ impl NodeProgram for ConvergeCastProgram {
         inbox: &[(NodeId, CastMsg)],
         mb: &mut Mailbox<CastMsg>,
     ) -> Status {
-        for (_, msg) in inbox {
+        for (from, msg) in inbox {
             match msg {
                 CastMsg::Up(v) => {
                     self.acc = self.op.combine(self.acc, *v);
-                    self.waiting -= 1;
+                    // Only a listed child's `Up` is awaited: a faulted
+                    // `bfs_tree` can lose the `Adopt` that would have listed
+                    // the sender, and counting it would underflow `waiting`.
+                    if self.tree.children.binary_search(from).is_ok() {
+                        self.waiting -= 1;
+                    }
                 }
                 CastMsg::Down(v) => {
                     self.result = Some(*v);
@@ -944,6 +949,45 @@ mod tests {
         // Every item reaches the leader.
         assert_eq!(got, vec![(0, 10), (1, 11), (2, 12)]);
         assert_eq!(stats.rounds, 4);
+    }
+
+    #[test]
+    fn converge_cast_ignores_ups_from_non_children() {
+        // Path 0–1–2 with node 2's `Adopt` lost: 2 names 1 as its parent,
+        // but 1 lists no children.
+        let g = generators::path(3, 1);
+        let tree = vec![
+            TreeInfo {
+                parent: None,
+                children: vec![1],
+                depth: 0,
+            },
+            TreeInfo {
+                parent: Some(0),
+                children: vec![],
+                depth: 1,
+            },
+            TreeInfo {
+                parent: Some(1),
+                children: vec![],
+                depth: 2,
+            },
+        ];
+        let cfg = std_cfg(&g).with_max_rounds(100);
+        let err = converge_cast(&g, 0, &cfg, &tree, &[1, 2, 3], Aggregate::Max).unwrap_err();
+        // Nodes 1 and 2 send `Up` at the start. Round 1: the leader hears
+        // node 1, finishes and sends `Down` to it; node 1 folds node 2's
+        // `Up` in without waiting on it. Round 2: node 1 learns the result
+        // and, listing no children, forwards it to nobody. So node 2 never
+        // hears a `Down` and the cast waits out the cap instead of
+        // underflowing.
+        assert_eq!(
+            err,
+            SimError::RoundLimitExceeded {
+                max_rounds: 100,
+                rounds_executed: 100,
+            }
+        );
     }
 
     use congest_graph::WeightedGraph;

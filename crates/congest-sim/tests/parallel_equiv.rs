@@ -1,11 +1,11 @@
 //! The parallel round engine's load-bearing property, tested: under the
 //! `parallel` feature, [`Parallelism::Parallel`] produces **bit-identical**
 //! observable behavior to the sequential engine — node outputs, the full
-//! [`RoundStats`] (including the [`ResilienceBudget`] and message log),
-//! per-node [`Quality`], and the exact trace-event sequence — across random
-//! graphs, payload seeds, fault plans, and thread-pool sizes, for a program
-//! stepped every round and for one that sleeps (so only the awake nodes are
-//! fanned out, and rounds are jumped).
+//! [`RoundStats`] (including the [`ResilienceBudget`] and message log) and
+//! the exact trace-event sequence — across random graphs, payload seeds,
+//! fault plans, and thread-pool sizes, for a program stepped every round
+//! and for one that sleeps (so only the awake nodes are fanned out, and
+//! rounds are jumped).
 //!
 //! CI's parallel lane greps for these tests by name; renaming them breaks
 //! the "equivalence tests actually ran" check in `.github/workflows/ci.yml`.
@@ -21,8 +21,8 @@ use common::Napper;
 use congest_graph::{generators, NodeId, WeightedGraph};
 use congest_sim::telemetry::CollectingTracer;
 use congest_sim::{
-    FaultPlan, Mailbox, Network, NodeCtx, NodeProgram, Parallelism, Quality, RoundStats, SimConfig,
-    Status, Telemetry, TraceEvent,
+    FaultPlan, Mailbox, Network, NodeCtx, NodeProgram, Parallelism, RoundStats, SimConfig, Status,
+    Telemetry, TraceEvent,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -73,7 +73,7 @@ impl NodeProgram for Gossip {
 /// Everything an engine run observably produces.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    outputs: Vec<(u64, Quality)>,
+    outputs: Vec<u64>,
     stats: RoundStats,
     events: Vec<TraceEvent>,
 }
@@ -106,7 +106,7 @@ fn run_program<P: NodeProgram<Output = u64>>(
         .with_telemetry(Telemetry::new(tracer.clone()))
         .with_parallelism(mode);
     let mut net = Network::new(g, 0, config, |_, _| make());
-    let outputs = net.run_with_quality().expect("run succeeds");
+    let outputs = net.run().expect("run succeeds");
     let stats = net.stats().clone();
     Observed {
         outputs,
@@ -159,8 +159,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Sequential and parallel engines agree bit-for-bit on outputs, stats
-    /// (rounds, messages, bits, message log, resilience budget), per-node
-    /// quality, and the complete trace-event sequence.
+    /// (rounds, messages, bits, message log, resilience budget), and the
+    /// complete trace-event sequence.
     #[test]
     fn parallel_engine_is_bit_identical(case in arb_case()) {
         let (g, rounds, plan, sleepy) = case;

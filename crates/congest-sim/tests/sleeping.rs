@@ -2,7 +2,7 @@
 //! that returns [`Status::Sleep`] is observably identical to its twin that
 //! reports `Running` instead and is stepped in every round — node outputs,
 //! the full [`RoundStats`] (resilience budget and message log included),
-//! per-node [`Quality`], the exact trace-event sequence, and the error.
+//! the exact trace-event sequence, and the error.
 //! Skipped nodes and jumped rounds change only how fast the run goes.
 //!
 //! CI's test lanes grep for these tests by name; renaming them breaks the
@@ -14,8 +14,8 @@ use common::{Dense, Napper};
 use congest_graph::{generators, WeightedGraph};
 use congest_sim::telemetry::CollectingTracer;
 use congest_sim::{
-    Bandwidth, FaultPlan, Network, NodeProgram, Quality, RoundStats, SimConfig, SimError,
-    Telemetry, TraceEvent,
+    Bandwidth, FaultPlan, Network, NodeProgram, RoundStats, SimConfig, SimError, Telemetry,
+    TraceEvent,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -27,7 +27,6 @@ use std::sync::Arc;
 struct Observed {
     result: Result<(), SimError>,
     outputs: Vec<u64>,
-    qualities: Vec<Quality>,
     stats: RoundStats,
     events: Vec<TraceEvent>,
     profile: Option<TraceEvent>,
@@ -42,13 +41,11 @@ fn observe<P: NodeProgram<Output = u64>>(
     let config = base.clone().with_telemetry(Telemetry::new(tracer.clone()));
     let mut net = Network::new(g, 0, config, |_, _| make());
     let result = net.run_to_quiescence();
-    let qualities = net.qualities();
     let stats = net.stats().clone();
     let profile = net.bandwidth_profile().map(|p| p.summary(8));
     Observed {
         result,
         outputs: net.into_outputs(),
-        qualities,
         stats,
         events: tracer.events(),
         profile,

@@ -63,7 +63,7 @@ pub enum Confidence {
     /// Faults hit the measured phases; the accumulated overhead is attached
     /// and the estimate should be treated as best-effort.
     UnderFaults {
-        /// Total fault/recovery overhead across `T₀`, `T₁`, `T₂`, and the
+        /// Total fault overhead across `T₀`, `T₁`, `T₂`, and the
         /// outer BFS-tree measurement.
         resilience: ResilienceBudget,
     },
