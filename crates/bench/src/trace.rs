@@ -10,14 +10,15 @@
 //!   every [`TraceEvent::ChannelProfile`] in the trace;
 //! * a **search table** — one row per [`TraceEvent::GroverIteration`];
 //! * a **fault table** — every injected-fault event (drops by reason,
-//!   throttle firings, crash/recovery transitions) aggregated.
+//!   throttle firings, crash/recovery transitions) aggregated, plus the
+//!   simulation failures ([`TraceEvent::SimFailed`]) the faults caused.
 //!
 //! The `wdr-trace` binary is a thin CLI over these functions.
 
 use crate::harness::Table;
 use congest_sim::faults::DropReason;
 use congest_sim::telemetry::{build_phase_tree, HotEdge, PhaseNode};
-use congest_sim::TraceEvent;
+use congest_sim::{SimError, TraceEvent};
 use serde_json::Value;
 use std::collections::HashMap;
 
@@ -78,18 +79,55 @@ fn drop_reason_field(v: &Value, key: &str) -> Result<DropReason, String> {
     }
 }
 
-/// Decodes one externally tagged event object.
-///
-/// `SimFailed` payloads are structurally opaque to the report (the error
-/// enum's shape is not needed for rendering), so they are preserved as an
-/// `Unreachable`-free placeholder: the report only counts them.
-fn event_from_value(v: &Value) -> Result<Option<TraceEvent>, String> {
-    let obj = v.as_object().ok_or("event line is not a JSON object")?;
-    let (tag, body) = obj.iter().next().ok_or("empty event object")?;
+/// The tag and body of an externally tagged enum value.
+fn tagged<'v>(v: &'v Value, what: &str) -> Result<(&'v str, &'v Value), String> {
+    let obj = v
+        .as_object()
+        .ok_or(format!("{what} is not a JSON object"))?;
+    let (tag, body) = obj.iter().next().ok_or(format!("empty {what}"))?;
     if obj.len() != 1 {
         return Err(format!("expected exactly one tag, got {}", obj.len()));
     }
-    let event = match tag.as_str() {
+    Ok((tag.as_str(), body))
+}
+
+/// Decodes a [`SimError`] payload. Its phase names are `&'static str`, so
+/// each decoded one is leaked: a trace holds one failure per failed run.
+fn sim_error_from_value(v: &Value) -> Result<SimError, String> {
+    let phase = |body: &Value| string_field(body, "phase").map(|p| &*p.leak());
+    let (tag, body) = tagged(v, "`error`")?;
+    Ok(match tag {
+        "NotAdjacent" => SimError::NotAdjacent {
+            from: usize_field(body, "from")?,
+            to: usize_field(body, "to")?,
+        },
+        "BandwidthExceeded" => SimError::BandwidthExceeded {
+            from: usize_field(body, "from")?,
+            to: usize_field(body, "to")?,
+            round: usize_field(body, "round")?,
+            attempted_bits: u32_field(body, "attempted_bits")?,
+            budget_bits: u32_field(body, "budget_bits")?,
+        },
+        "RoundLimitExceeded" => SimError::RoundLimitExceeded {
+            max_rounds: usize_field(body, "max_rounds")?,
+            rounds_executed: usize_field(body, "rounds_executed")?,
+        },
+        "PhaseIncomplete" => SimError::PhaseIncomplete {
+            phase: phase(body)?,
+            node: usize_field(body, "node")?,
+        },
+        "CongestionPersisted" => SimError::CongestionPersisted {
+            phase: phase(body)?,
+            attempts: usize_field(body, "attempts")?,
+        },
+        other => return Err(format!("unknown simulation error `{other}`")),
+    })
+}
+
+/// Decodes one externally tagged event object.
+fn event_from_value(v: &Value) -> Result<TraceEvent, String> {
+    let (tag, body) = tagged(v, "event line")?;
+    Ok(match tag {
         "PhaseStart" => TraceEvent::PhaseStart {
             name: string_field(body, "name")?,
         },
@@ -164,12 +202,11 @@ fn event_from_value(v: &Value) -> Result<Option<TraceEvent>, String> {
             iterations: u64_field(body, "iterations")?,
             oracle_queries: u64_field(body, "oracle_queries")?,
         },
-        // The error payload's exact shape is irrelevant to the report;
-        // skipping keeps the reader forward-compatible with new variants.
-        "SimFailed" => return Ok(None),
+        "SimFailed" => TraceEvent::SimFailed {
+            error: sim_error_from_value(field(body, "error")?)?,
+        },
         other => return Err(format!("unknown event tag `{other}`")),
-    };
-    Ok(Some(event))
+    })
 }
 
 /// Parses a full JSONL trace. Blank lines are skipped; any malformed line is
@@ -189,12 +226,10 @@ pub fn parse_trace(input: &str) -> Result<Vec<TraceEvent>, TraceParseError> {
             line: idx + 1,
             message: e.to_string(),
         })?;
-        if let Some(event) = event_from_value(&value).map_err(|message| TraceParseError {
+        events.push(event_from_value(&value).map_err(|message| TraceParseError {
             line: idx + 1,
             message,
-        })? {
-            events.push(event);
-        }
+        })?);
     }
     Ok(events)
 }
@@ -256,7 +291,8 @@ pub fn hot_edge_table(events: &[TraceEvent], top_k: usize) -> Table {
 
 /// Aggregates every fault event in the trace into one table: dropped
 /// messages grouped by [`DropReason`] (with total lost bits), throttle
-/// firings, crash/recovery transitions, and message-log truncations.
+/// firings, crash/recovery transitions, message-log truncations, and the
+/// simulation failures they led to.
 pub fn fault_table(events: &[TraceEvent]) -> Table {
     let mut t = Table::new(
         "FAULTS",
@@ -264,7 +300,8 @@ pub fn fault_table(events: &[TraceEvent]) -> Table {
         &["fault", "count", "bits lost"],
     );
     let mut dropped: HashMap<&'static str, (u64, u64)> = HashMap::new();
-    let (mut throttled, mut crashes, mut recoveries, mut truncations) = (0u64, 0u64, 0u64, 0u64);
+    let (mut throttled, mut crashes, mut recoveries, mut truncations, mut failures) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
     for event in events {
         match event {
             TraceEvent::MessageDropped { bits, reason, .. } => {
@@ -282,6 +319,7 @@ pub fn fault_table(events: &[TraceEvent]) -> Table {
             TraceEvent::NodeCrashed { .. } => crashes += 1,
             TraceEvent::NodeRecovered { .. } => recoveries += 1,
             TraceEvent::MessageLogTruncated { .. } => truncations += 1,
+            TraceEvent::SimFailed { .. } => failures += 1,
             _ => {}
         }
     }
@@ -295,6 +333,7 @@ pub fn fault_table(events: &[TraceEvent]) -> Table {
         ("node crashes", crashes, None),
         ("node recoveries", recoveries, None),
         ("message-log truncations", truncations, None),
+        ("simulation failures", failures, None),
     ] {
         if count > 0 {
             rows.push((label, count, bits));
@@ -540,12 +579,7 @@ mod tests {
 
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let parsed = parse_trace(&text).unwrap();
-        // `parse_trace` skips `SimFailed` lines; the failed run emitted one.
-        let mut expected = collector.events();
-        let before = expected.len();
-        expected.retain(|e| !matches!(e, TraceEvent::SimFailed { .. }));
-        assert_eq!(before - expected.len(), 1);
-        assert_eq!(parsed, expected);
+        assert_eq!(parsed, collector.events());
         assert!(parsed
             .iter()
             .any(|e| matches!(e, TraceEvent::MessageDropped { .. })));
@@ -557,12 +591,18 @@ mod tests {
             .any(|r| r[0] == "dropped (random)" && r[2] != "-"));
         assert!(faults.rows.iter().any(|r| r[0] == "node crashes"));
         assert!(faults.rows.iter().any(|r| r[0] == "node recoveries"));
+        assert!(faults
+            .rows
+            .iter()
+            .any(|r| r[..] == ["simulation failures", "1", "-"]));
         let md = render_markdown(&parsed);
         assert!(md.contains("Injected faults observed in the trace"));
+        assert!(md.contains("| simulation failures | 1 |"));
         let csv = render_csv(&parsed);
-        assert!(csv.contains("dropped (random)"));
+        assert!(csv.contains("dropped (random)") && csv.contains("simulation failures"));
         let json = render_json(&parsed);
         assert!(json.contains("\"FAULTS\"") && json.contains("dropped (random)"));
+        assert!(json.contains("simulation failures"));
     }
 
     #[test]

@@ -64,18 +64,33 @@ fn three_halves_jsonl_trace_renders_to_markdown() {
 }
 
 /// The fault-injection acceptance path: a faulty `bfs_tree` run traced to a
-/// JSONL file shows its drop and crash events in the `wdr-trace` rendering.
-/// A node that never hears a `Token` never joins the tree, so the run itself
-/// waits out the round cap; its trace is still complete.
+/// JSONL file shows its drop and crash events and its failure in the
+/// `wdr-trace` rendering. A node that never hears a `Token` never joins the
+/// tree, so the run itself waits out the round cap; its trace is still
+/// complete, and reads back as exactly the events the run emitted.
 #[test]
 fn faulty_run_shows_fault_events_in_wdr_trace_output() {
+    use congest_sim::telemetry::{CollectingTracer, Tracer};
     use congest_sim::{primitives, FaultPlan, SimError, TraceEvent};
+
+    /// Records every event in memory and in the JSONL file.
+    struct Fanout(Arc<CollectingTracer>, JsonlTracer);
+    impl Tracer for Fanout {
+        fn record(&self, event: &TraceEvent) {
+            self.0.record(event);
+            self.1.record(event);
+        }
+        fn flush(&self) {
+            self.1.flush();
+        }
+    }
 
     let g = generators::grid(4, 4, 1);
     let dir = std::env::temp_dir().join("wdr-trace-e2e");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("faulty_bfs.jsonl");
-    let tracer = JsonlTracer::create(&path).unwrap();
+    let collector = Arc::new(CollectingTracer::default());
+    let tracer = Fanout(collector.clone(), JsonlTracer::create(&path).unwrap());
     let telemetry = Telemetry::new(Arc::new(tracer));
     let cfg = SimConfig::standard(g.n(), 1)
         .with_max_rounds(10_000)
@@ -94,16 +109,28 @@ fn faulty_run_shows_fault_events_in_wdr_trace_output() {
 
     let text = std::fs::read_to_string(&path).unwrap();
     let events = parse_trace(&text).unwrap();
+    assert_eq!(events, collector.events());
     assert!(events
         .iter()
         .any(|e| matches!(e, TraceEvent::MessageDropped { .. })));
     assert!(events
         .iter()
         .any(|e| matches!(e, TraceEvent::NodeCrashed { .. })));
+    let failures: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::SimFailed { .. }))
+        .collect();
+    assert_eq!(
+        failures,
+        [&TraceEvent::SimFailed {
+            error: run.unwrap_err()
+        }]
+    );
 
     let md = render_markdown(&events);
     assert!(md.contains("bfs_tree"));
     assert!(md.contains("Injected faults observed in the trace"));
     assert!(md.contains("dropped (random)"));
     assert!(md.contains("node crashes"));
+    assert!(md.contains("| simulation failures | 1 |"));
 }

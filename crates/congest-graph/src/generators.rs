@@ -3,7 +3,7 @@
 //! Deterministic generators take shape parameters; randomized ones take an
 //! explicit [`rand::Rng`] so every experiment is reproducible from a seed.
 
-use crate::graph::{GraphBuilder, NodeId, Weight, WeightedGraph};
+use crate::graph::{GraphBuilder, Weight, WeightedGraph};
 use rand::Rng;
 
 pub mod stream;
@@ -217,18 +217,15 @@ pub fn cluster_ring<R: Rng + ?Sized>(
     b.build().expect("valid cluster ring")
 }
 
-/// Replaces every weight of `g` with a fresh uniform draw from `[1, max_w]`.
+/// Replaces every weight of `g` with a fresh uniform draw from `[1, max_w]`,
+/// drawn in [`WeightedGraph::edges`] order on `g`'s own CSR arrays.
 pub fn randomize_weights<R: Rng + ?Sized>(
     g: &WeightedGraph,
     max_w: Weight,
     rng: &mut R,
 ) -> WeightedGraph {
     assert!(max_w > 0);
-    let edges: Vec<(NodeId, NodeId, Weight)> = g
-        .edges()
-        .map(|e| (e.u, e.v, rng.gen_range(1..=max_w)))
-        .collect();
-    WeightedGraph::from_edges(g.n(), edges).expect("same topology is valid")
+    g.reweight_edges(|| rng.gen_range(1..=max_w))
 }
 
 #[cfg(test)]
@@ -328,6 +325,37 @@ mod tests {
             assert!(h.has_edge(e.u, e.v));
         }
         assert!(h.max_weight() <= 9);
+    }
+
+    /// Reweighting in place draws the same weights in the same order as
+    /// rebuilding the graph from its reweighted edge list.
+    #[test]
+    fn randomize_weights_matches_edge_list_rebuild() {
+        let rebuild = |g: &WeightedGraph, max_w: Weight, rng: &mut ChaCha8Rng| {
+            let edges: Vec<_> = g
+                .edges()
+                .map(|e| (e.u, e.v, rng.gen_range(1..=max_w)))
+                .collect();
+            WeightedGraph::from_edges(g.n(), edges).unwrap()
+        };
+        for seed in 0..6u64 {
+            let mut topo_rng = ChaCha8Rng::seed_from_u64(100 + seed);
+            let graphs = [
+                grid(16, 16, 1),
+                grid(3, 7, 2),
+                cluster_ring(160, 4, 1, &mut topo_rng),
+                erdos_renyi_connected(64, 3.0 / 64.0, 1, &mut topo_rng),
+                erdos_renyi_connected(30, 0.4, 5, &mut topo_rng),
+            ];
+            for (k, g) in graphs.iter().enumerate() {
+                for max_w in [1, 64, 1 << 40] {
+                    let want = rebuild(g, max_w, &mut ChaCha8Rng::seed_from_u64(seed));
+                    let got = randomize_weights(g, max_w, &mut ChaCha8Rng::seed_from_u64(seed));
+                    assert_eq!(got, want, "seed {seed} graph {k} W {max_w}");
+                    assert_eq!(got.max_weight(), want.max_weight());
+                }
+            }
+        }
     }
 
     #[test]

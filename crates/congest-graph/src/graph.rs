@@ -410,6 +410,37 @@ impl WeightedGraph {
         WeightedGraph::from_owned_csr(self.offsets.clone(), self.targets.clone(), weights)
     }
 
+    /// The same topology with each undirected edge's weight replaced by the
+    /// next `draw()`, called once per edge in [`edges`](WeightedGraph::edges)
+    /// order and written to both CSR slots of the edge. Reuses the CSR
+    /// arrays instead of sorting and merging an edge list again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `draw` produces a zero weight.
+    pub(crate) fn reweight_edges(&self, mut draw: impl FnMut() -> Weight) -> WeightedGraph {
+        let n = self.n();
+        let mut weights = vec![0 as Weight; self.targets.len()];
+        // Rows are sorted, so row `v` lists its lower neighbors first in
+        // ascending order, the order edges `{u, v}` with `u < v` arrive in;
+        // `mirror[v]` walks those slots.
+        let mut mirror = self.offsets[..n].to_vec();
+        for u in 0..n {
+            for slot in self.offsets[u]..self.offsets[u + 1] {
+                let v = self.targets[slot];
+                if v > u {
+                    let w = draw();
+                    assert!(w > 0, "reweight_edges produced a zero weight");
+                    debug_assert_eq!(self.targets[mirror[v]], u, "rows must be sorted");
+                    weights[slot] = w;
+                    weights[mirror[v]] = w;
+                    mirror[v] += 1;
+                }
+            }
+        }
+        WeightedGraph::from_owned_csr(self.offsets.clone(), self.targets.clone(), weights)
+    }
+
     /// `true` if the graph is connected (or has at most one node).
     pub fn is_connected(&self) -> bool {
         let n = self.n();

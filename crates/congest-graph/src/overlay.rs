@@ -73,7 +73,7 @@ impl<'g> RowCache<'g> {
     pub fn new(g: &'g WeightedGraph, scheme: RoundingScheme, max_rows: usize) -> RowCache<'g> {
         let n = g.n();
         let mut ws = SsspWorkspace::new();
-        ws.reserve_heap_search(n, g.m());
+        ws.reserve_row_search(g);
         RowCache {
             g,
             scheme,
@@ -503,6 +503,13 @@ impl Overlay {
     ///
     /// Weights here are real; the rounding `⌈2ℓ'w/(ε2^i)⌉` still produces
     /// integers and the same sandwich `d ≤ d̃^{ℓ'} ≤ (1+ε)d^{ℓ'}` holds.
+    ///
+    /// The scale loop stops as [`approx_hop_bounded_into`] does, with the
+    /// same proof: `2·⌈x/2⌉ ≥ ⌈x⌉` and exact halving in `f64` give
+    /// `2·d_{i+1} ≥ d_i`, and the unscale doubles exactly, so a node's
+    /// value never decreases after its first accepting scale. After a
+    /// scale that accepts all `|S|` nodes, or whose rounded heaviest
+    /// finite weight is 1, no later scale changes the result.
     pub fn approx_hop_bounded(&self, src: usize, ell: usize, eps: f64) -> Vec<ApproxDist> {
         let s = self.len();
         assert!(src < s);
@@ -517,12 +524,15 @@ impl Overlay {
         let threshold = (1.0 + 2.0 / eps) * ell as f64;
         let mut best = vec![f64::INFINITY; s];
         best[src] = 0.0;
+        let mut dist = vec![f64::INFINITY; s];
+        let mut done = vec![false; s];
         for i in 0..=imax {
             let denom = eps * (2f64).powi(i as i32);
             let unscale = denom / (2.0 * ell as f64);
+            let round = |w: f64| ((2.0 * ell as f64 * w) / denom).ceil().max(1.0);
             // Dijkstra under rounded weights ⌈2ℓw/denom⌉.
-            let mut dist = vec![f64::INFINITY; s];
-            let mut done = vec![false; s];
+            dist.fill(f64::INFINITY);
+            done.fill(false);
             dist[src] = 0.0;
             for _ in 0..s {
                 let mut pick = None;
@@ -542,23 +552,25 @@ impl Overlay {
                 }
                 for u in 0..s {
                     if u != v && self.weight(v, u).is_finite() {
-                        let rw = ((2.0 * ell as f64 * self.weight(v, u)) / denom)
-                            .ceil()
-                            .max(1.0);
-                        let nd = dist[v] + rw;
+                        let nd = dist[v] + round(self.weight(v, u));
                         if nd < dist[u] {
                             dist[u] = nd;
                         }
                     }
                 }
             }
+            let mut accepted = 0;
             for v in 0..s {
                 if dist[v] <= threshold {
+                    accepted += 1;
                     let approx = dist[v] * unscale;
                     if approx < best[v] {
                         best[v] = approx;
                     }
                 }
+            }
+            if accepted == s || round(max_w) == 1.0 {
+                break;
             }
         }
         best

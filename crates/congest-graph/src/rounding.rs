@@ -17,13 +17,25 @@
 //! so `d ≤ ⌊(1+2/ε)ℓ⌋` accepts exactly the labels `d ≤ (1+2/ε)ℓ` does, and
 //! `d̃^ℓ` is bit-identical to filtering an unlimited search.
 //!
+//! A row also stops early. `2·w_{i+1}(e) ≥ w_i(e)` for every edge
+//! (`2⌈x/2⌉ ≥ ⌈x⌉`, and in `f64` `2ℓw/(ε·2^{i+1})` is exactly half of
+//! `2ℓw/(ε·2^i)`), and `unscale(i+1) = 2·unscale(i)` exactly, so a node's
+//! `d_i·unscale(i)` never decreases with `i` and its first accepting scale
+//! fixes its entry. No scale after one that accepts every node, or after
+//! one whose rounded `W` is 1, can change the row, so
+//! [`approx_hop_bounded_into`] stops there. Each scale reads `w_i(w)` from a
+//! table of `w_i(1..=min(W, 2m))` instead of dividing on every scanned edge,
+//! because that per-edge float work, not the heap, dominates a scale. The
+//! distributed Algorithms 1 and 3 still run every scale, because the paper
+//! charges their rounds.
+//!
 //! Approximate distances are real-valued (the scaling by `ε·2^i/(2ℓ)` leaves
 //! the integers); we carry them as `f64`, which is exact for the integer
 //! numerators involved (all `< 2^53`) and introduces only machine-epsilon
 //! noise, far below the `ε ≥ 1/log n` the guarantees are stated for.
 
 use crate::dist::Dist;
-use crate::graph::{NodeId, WeightedGraph};
+use crate::graph::{NodeId, Weight, WeightedGraph};
 use crate::workspace::SsspWorkspace;
 
 /// A real-valued approximate distance (`f64::INFINITY` = unreachable).
@@ -125,6 +137,22 @@ pub fn approx_hop_bounded(g: &WeightedGraph, s: NodeId, scheme: RoundingScheme) 
 ///
 /// `out` is overwritten with `d̃^ℓ(s, ·)`.
 ///
+/// Only the scales that can still change the row run. For every edge,
+/// `2·w_{i+1}(e) ≥ w_i(e)`, because `2⌈x/2⌉ ≥ ⌈x⌉` and in `f64`
+/// `2ℓw/(ε·2^{i+1})` is exactly half of `2ℓw/(ε·2^i)` (the `max(1)`
+/// keeps it). So `2·d_{i+1}(s,v) ≥ d_i(s,v)`, and since `unscale(i+1)` is
+/// exactly `2·unscale(i)`, `d_i·unscale(i)` never decreases as `i` grows:
+/// the first scale that accepts `v` sets its entry for good. The loop
+/// therefore stops after a scale that accepts all `n` nodes, or whose
+/// rounded `W` is 1 (every later scale is then the same hop search with a
+/// doubled unscale). The row is bit-identical to running all `imax + 1`
+/// scales.
+///
+/// Each scale reads `w_i(w)` from a table of `w_i(1..=min(W, 2m))` kept in
+/// `ws`, so a relaxation indexes instead of dividing; filling the table
+/// costs at most one division per directed edge. A weight past the
+/// table's end is rounded in place by the same [`RoundingScheme::rounded_weight`].
+///
 /// # Panics
 ///
 /// Panics if `s >= g.n()` or `out.len() != g.n()`.
@@ -135,26 +163,54 @@ pub fn approx_hop_bounded_into(
     ws: &mut SsspWorkspace,
     out: &mut [ApproxDist],
 ) {
-    assert!(s < g.n(), "source {s} out of range");
-    assert_eq!(out.len(), g.n(), "output buffer must cover every node");
+    let n = g.n();
+    assert!(s < n, "source {s} out of range");
+    assert_eq!(out.len(), n, "output buffer must cover every node");
     out.fill(f64::INFINITY);
     // Rounded distances are integers, so this accepts exactly `d ≤ (1+2/ε)ℓ`.
     let limit = Dist::from(scheme.threshold().floor() as u64);
-    let imax = scheme.max_scale(g.n(), g.max_weight());
+    let max_w = g.max_weight();
+    let imax = scheme.max_scale(n, max_w);
+    // Moved out so the search below can borrow `ws`; moving a `Vec` in and
+    // out never allocates.
+    let mut table = std::mem::take(&mut ws.weight_table);
+    let len = weight_table_len(g) as Weight;
     for i in 0..=imax {
+        table.clear();
+        table.extend((1..=len).map(|w| scheme.rounded_weight(i, w)));
+        let rounded = |w: Weight| {
+            if w <= len {
+                table[(w - 1) as usize]
+            } else {
+                scheme.rounded_weight(i, w)
+            }
+        };
         // Rounded weights are applied during relaxation, and labels above
         // the threshold are never settled: every finite label is accepted.
-        let di = ws.dijkstra_mapped_into(g, s, limit, |w| scheme.rounded_weight(i, w));
+        let di = ws.dijkstra_mapped_into(g, s, limit, rounded);
         let unscale = scheme.unscale(i);
+        let mut accepted = 0;
         for (v, d) in di.iter().enumerate() {
             if let Some(d) = d.finite() {
+                accepted += 1;
                 let approx = d as f64 * unscale;
                 if approx < out[v] {
                     out[v] = approx;
                 }
             }
         }
+        if accepted == n || scheme.rounded_weight(i, max_w) == 1 {
+            break;
+        }
     }
+    ws.weight_table = table;
+}
+
+/// Length of the rounded-weight table of [`approx_hop_bounded_into`]:
+/// `min(W, 2m)`, so filling it never costs more divisions than rounding
+/// every directed edge once.
+pub(crate) fn weight_table_len(g: &WeightedGraph) -> usize {
+    usize::try_from(g.max_weight()).map_or(2 * g.m(), |w| w.min(2 * g.m()))
 }
 
 /// Converts an exact [`Dist`] to the `f64` domain of approximate distances.

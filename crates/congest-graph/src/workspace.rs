@@ -120,6 +120,10 @@ pub struct SsspWorkspace {
     cur_bits: Vec<u64>,
     next_bits: Vec<u64>,
     buckets: Vec<Vec<NodeId>>,
+    /// The rounded weights `w_i(1..=len)` of the scale
+    /// [`crate::rounding::approx_hop_bounded_into`] is searching, so its
+    /// relaxations index a table instead of dividing per edge.
+    pub(crate) weight_table: Vec<Weight>,
     counters: KernelCounters,
 }
 
@@ -147,16 +151,19 @@ impl SsspWorkspace {
         self.counters = KernelCounters::default();
     }
 
-    /// Grows the distance buffer and the binary heap to their worst case
-    /// for a graph with `n` nodes and `m` undirected edges, so no later
-    /// heap-based search on such a graph allocates. A search pushes at most
-    /// once per source plus once per directed edge (a label only improves
-    /// when its tail is settled, and a node settles once).
-    pub(crate) fn reserve_heap_search(&mut self, n: usize, m: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, Dist::INFINITY);
+    /// Grows the distance buffer, the binary heap and the weight table to
+    /// their worst case for bounded-hop rows of `g`, so no later
+    /// [`crate::rounding::approx_hop_bounded_into`] on `g` allocates. A
+    /// search pushes at most once per source plus once per directed edge
+    /// (a label only improves when its tail is settled, and a node settles
+    /// once).
+    pub(crate) fn reserve_row_search(&mut self, g: &WeightedGraph) {
+        if self.dist.len() < g.n() {
+            self.dist.resize(g.n(), Dist::INFINITY);
         }
-        self.heap.reserve(1 + 2 * m);
+        self.heap.reserve(1 + 2 * g.m());
+        self.weight_table
+            .reserve(crate::rounding::weight_table_len(g));
     }
 
     /// Resets the distance buffer for an `n`-node run.

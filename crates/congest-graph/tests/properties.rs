@@ -2,8 +2,10 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's matrix notation
 use congest_graph::overlay::{Overlay, RowCache, SkeletonDistances};
-use congest_graph::rounding::RoundingScheme;
-use congest_graph::{generators, metrics, shortest_path, Dist, GraphBuilder, WeightedGraph};
+use congest_graph::rounding::{approx_hop_bounded_into, RoundingScheme};
+use congest_graph::{
+    generators, metrics, shortest_path, Dist, GraphBuilder, SsspWorkspace, WeightedGraph,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -31,6 +33,97 @@ fn unlimited_row(g: &WeightedGraph, u: usize, scheme: RoundingScheme) -> Vec<f64
         }
     }
     best
+}
+
+/// `Overlay::approx_hop_bounded` with no early stop: every scale
+/// `0..=imax` runs, each on fresh label buffers.
+fn overlay_all_scales(ov: &Overlay, src: usize, ell: usize, eps: f64) -> Vec<f64> {
+    let s = ov.len();
+    let max_w = (0..s)
+        .flat_map(|i| (0..s).map(move |j| (i, j)))
+        .map(|(i, j)| ov.weight(i, j))
+        .filter(|x| x.is_finite())
+        .fold(1.0f64, f64::max);
+    let imax = ((2.0 * s as f64 * max_w / eps).log2().ceil()).max(0.0) as u32;
+    let threshold = (1.0 + 2.0 / eps) * ell as f64;
+    let mut best = vec![f64::INFINITY; s];
+    best[src] = 0.0;
+    for i in 0..=imax {
+        let denom = eps * (2f64).powi(i as i32);
+        let unscale = denom / (2.0 * ell as f64);
+        let mut dist = vec![f64::INFINITY; s];
+        let mut done = vec![false; s];
+        dist[src] = 0.0;
+        for _ in 0..s {
+            let mut pick = None;
+            for x in 0..s {
+                if !done[x] && dist[x].is_finite() {
+                    match pick {
+                        None => pick = Some(x),
+                        Some(p) if dist[x] < dist[p] => pick = Some(x),
+                        _ => {}
+                    }
+                }
+            }
+            let Some(v) = pick else { break };
+            done[v] = true;
+            if dist[v] > threshold {
+                continue;
+            }
+            for u in 0..s {
+                if u != v && ov.weight(v, u).is_finite() {
+                    let rw = ((2.0 * ell as f64 * ov.weight(v, u)) / denom)
+                        .ceil()
+                        .max(1.0);
+                    let nd = dist[v] + rw;
+                    if nd < dist[u] {
+                        dist[u] = nd;
+                    }
+                }
+            }
+        }
+        for v in 0..s {
+            if dist[v] <= threshold {
+                let approx = dist[v] * unscale;
+                if approx < best[v] {
+                    best[v] = approx;
+                }
+            }
+        }
+    }
+    best
+}
+
+/// Scales one `approx_hop_bounded_into` call runs, read off
+/// `KernelCounters::heap_runs` (one limited search per scale).
+fn scales_run(g: &WeightedGraph, u: usize, scheme: RoundingScheme, out: &mut [f64]) -> u64 {
+    let mut ws = SsspWorkspace::new();
+    approx_hop_bounded_into(g, u, scheme, &mut ws, out);
+    ws.counters().heap_runs
+}
+
+/// The early stop on two fixed paths, one per stopping rule. On the
+/// weight-5 path with `ℓ = 8`, `ε = 1/4` (limit `72`), scale `i` rounds
+/// 5 to `⌈320/2^i⌉`, so scale 5 (weight 10, 7 hops = 70) is the first to
+/// accept all 8 nodes: 6 of the 10 scales run. On the unit path with
+/// `ℓ = 1`, `ε = 1/2` (limit 5), scale 2 rounds every weight to 1 and no
+/// scale reaches node 19: 3 of the 8 scales run. Both rows equal the
+/// all-scales row.
+#[test]
+fn early_stop_runs_pinned_scale_counts() {
+    for (g, scheme, want_runs, all_scales) in [
+        (generators::path(8, 5), RoundingScheme::new(8, 0.25), 6, 10),
+        (generators::path(20, 1), RoundingScheme::new(1, 0.5), 3, 8),
+    ] {
+        assert_eq!(scheme.max_scale(g.n(), g.max_weight()) + 1, all_scales);
+        let mut out = vec![0.0; g.n()];
+        assert_eq!(scales_run(&g, 0, scheme, &mut out), want_runs);
+        let want = unlimited_row(&g, 0, scheme);
+        assert_eq!(
+            out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+    }
 }
 
 /// `SkeletonDistances` for one set, composed the per-set way: every
@@ -137,6 +230,80 @@ proptest! {
                 sets.iter().flatten().copied().collect();
             prop_assert_eq!(rows.len(), distinct.len(), "one row per distinct member");
             prop_assert!(saw_infinite || !must_cut, "the path must leave pairs at INFINITY");
+        }
+    }
+
+    /// Every early-stopped row equals the all-scales row bit for bit: on
+    /// ER graphs with weights up to 16 (mostly read from the weight table)
+    /// and up to 2^40 (mostly past its `2m` end, rounded in place), and on
+    /// a 60-node path with `ℓ ≤ 3`, where no scale accepts the far end (it
+    /// accepts at most `⌊(1+2/ε)ℓ⌋ ≤ 27` hops, every eccentricity is ≥ 30), so
+    /// the unit-weight stop is what ends the loop.
+    #[test]
+    fn early_stopped_rows_match_all_scales(
+        n in 4usize..20,
+        seed in any::<u64>(),
+        small_w in 1u64..=16,
+        big_w in 17u64..=(1u64 << 40),
+        ell in 1usize..24,
+        eps_pick in 0usize..3,
+        path_w in 1u64..8,
+    ) {
+        let eps = [0.25, 0.5, 1.0][eps_pick];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let light = generators::erdos_renyi_connected(n, 0.25, small_w, &mut rng);
+        let heavy = generators::erdos_renyi_connected(n, 0.25, big_w, &mut rng);
+        let path = generators::path(60, path_w);
+        for (g, ell, is_path) in [(&light, ell, false), (&heavy, ell, false), (&path, 1 + ell % 3, true)] {
+            let scheme = RoundingScheme::new(ell, eps);
+            let all_scales = u64::from(scheme.max_scale(g.n(), g.max_weight())) + 1;
+            let mut out = vec![0.0; g.n()];
+            for u in g.nodes().step_by(if is_path { 7 } else { 1 }) {
+                let runs = scales_run(g, u, scheme, &mut out);
+                let want = unlimited_row(g, u, scheme);
+                for (x, y) in out.iter().zip(&want) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+                prop_assert!(runs <= all_scales);
+                if is_path {
+                    prop_assert!(out.iter().any(|x| x.is_infinite()), "no scale accepts all");
+                    prop_assert!(runs < all_scales, "the unit-weight stop ends the row");
+                }
+            }
+        }
+    }
+
+    /// The overlay's early-stopped `d̃^{ℓ'}` equals the all-scales copy bit
+    /// for bit, on `G'_S` and on its shortcut graph. A small `ℓ` leaves
+    /// overlay weights at `INFINITY`; a small `ℓ'` keeps some scales from
+    /// accepting every skeleton node.
+    #[test]
+    fn overlay_stop_matches_all_scales(
+        g in arb_graph(),
+        set_seed in any::<u64>(),
+        ell in 1usize..6,
+        overlay_ell in 1usize..8,
+        eps_pick in 0usize..3,
+        k in 1usize..4,
+    ) {
+        let eps = [0.25, 0.5, 1.0][eps_pick];
+        let scheme = RoundingScheme::new(ell, eps);
+        let mut rng = ChaCha8Rng::seed_from_u64(set_seed);
+        let mut set: Vec<usize> = g.nodes().filter(|_| rng.gen_bool(0.5)).collect();
+        if set.is_empty() {
+            set.push(0);
+        }
+        let mut rows = RowCache::new(&g, scheme, g.n());
+        let overlay = Overlay::from_rows(&mut rows, &set);
+        for ov in [overlay.shortcut(k), overlay] {
+            for src in 0..ov.len() {
+                let got = ov.approx_hop_bounded(src, overlay_ell, eps);
+                let want = overlay_all_scales(&ov, src, overlay_ell, eps);
+                prop_assert_eq!(got.len(), want.len());
+                for (x, y) in got.iter().zip(&want) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
         }
     }
 
