@@ -1,15 +1,13 @@
-//! Criterion benchmark of the round engine (ISSUE E8): wall-clock cost of
-//! `Network::step` on dense gossip workloads, sequential vs (with
-//! `--features parallel`) the parallel compute phase at several pool sizes.
+//! Criterion benchmark of the round engine (E8): wall-clock cost of
+//! `Network::step` on dense gossip workloads.
 //!
 //! ```sh
 //! cargo bench -p wdr-bench --bench step_engine
-//! cargo bench -p wdr-bench --bench step_engine --features parallel
 //! ```
 //!
 //! This bench times the raw engine; the tables binary's E8 experiment
-//! (`--exp e8`) additionally cross-checks parallel outputs against the
-//! sequential engine and emits `BENCH_step_engine.json`.
+//! (`--exp e8`) additionally times it with a `SimMetrics` bundle attached
+//! and emits `BENCH_step_engine.json`.
 
 use congest_graph::{generators, NodeId, WeightedGraph};
 use congest_sim::{run_phase, Bandwidth, Mailbox, NodeCtx, NodeProgram, SimConfig, Status};
@@ -84,33 +82,5 @@ fn bench_sequential(c: &mut Criterion) {
     }
 }
 
-#[cfg(feature = "parallel")]
-fn bench_parallel(c: &mut Criterion) {
-    use congest_sim::Parallelism;
-    for n in [48usize, 96, 192] {
-        let g = dense(n);
-        let config = SimConfig {
-            bandwidth: Bandwidth::bits(160),
-            ..SimConfig::standard(g.n(), 1)
-        }
-        .with_parallelism(Parallelism::Parallel);
-        for threads in [1usize, 2, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool builds");
-            c.bench_function(
-                &format!("step_engine/parallel/n={n}/threads={threads}"),
-                |b| b.iter(|| pool.install(|| run_gossip(&g, &config))),
-            );
-        }
-    }
-}
-
-#[cfg(not(feature = "parallel"))]
-fn bench_parallel(_c: &mut Criterion) {
-    eprintln!("step_engine: parallel rows skipped (build with --features parallel)");
-}
-
-criterion_group!(step_engine, bench_sequential, bench_parallel);
+criterion_group!(step_engine, bench_sequential);
 criterion_main!(step_engine);

@@ -646,7 +646,6 @@ struct E8Row {
     edges: usize,
     rounds: usize,
     mode: String,
-    threads: usize,
     secs_per_run: f64,
     rounds_per_sec: f64,
     speedup_vs_sequential: f64,
@@ -658,9 +657,8 @@ struct E8Report {
     experiment: String,
     meta: wdr_metrics::RunMeta,
     host_threads: usize,
-    parallel_feature: bool,
     rows: Vec<E8Row>,
-    /// Registry snapshot: the row figures (`e8.n{n}.{mode}.t{threads}.…`)
+    /// Registry snapshot: the row figures (`e8.n{n}.{mode}.t1.…`)
     /// and the `e8.n{n}.sim.…` counters, summed over every timing iteration.
     metrics: Vec<(String, f64)>,
 }
@@ -697,8 +695,8 @@ fn e8_time_run(
     (secs, sim_rounds, outputs)
 }
 
-/// E8: round-engine throughput — rounds/sec of the sequential engine vs
-/// the parallel engine at 1/2/4/8 threads, on dense gossip workloads.
+/// E8: round-engine throughput — rounds/sec of the engine, bare and with
+/// a `SimMetrics` bundle attached, on dense gossip workloads.
 /// Writes `BENCH_step_engine.json` under `out_dir`.
 pub fn e8(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     let host_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
@@ -714,13 +712,12 @@ pub fn e8(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     };
     let mut table = Table::new(
         "E8",
-        "Round-engine throughput: sequential vs parallel compute phase",
+        "Round-engine throughput: bare vs metrics-on",
         &[
             "n",
             "edges",
             "rounds",
             "mode",
-            "threads",
             "time/run",
             "rounds/sec",
             "speedup",
@@ -742,7 +739,6 @@ pub fn e8(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
             edges,
             rounds: sim_rounds,
             mode: "sequential".into(),
-            threads: 1,
             secs_per_run: seq_secs,
             rounds_per_sec: sim_rounds as f64 / seq_secs,
             speedup_vs_sequential: 1.0,
@@ -773,40 +769,17 @@ pub fn e8(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
             edges,
             rounds: sim_rounds,
             mode: "sequential+metrics".into(),
-            threads: 1,
             secs_per_run: met_secs,
             rounds_per_sec: sim_rounds as f64 / met_secs,
             speedup_vs_sequential: seq_secs / met_secs,
         });
-        #[cfg(feature = "parallel")]
-        for threads in [1usize, 2, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool builds");
-            let par_cfg = config
-                .clone()
-                .with_parallelism(congest_sim::Parallelism::Parallel);
-            let (par_secs, par_rounds, par_out) =
-                pool.install(|| e8_time_run(&g, &par_cfg, rounds, work, measurement));
-            assert_eq!(par_rounds, sim_rounds, "parallel round count diverged");
-            assert_eq!(par_out, seq_out, "parallel outputs diverged at n={n}");
-            rows.push(E8Row {
-                n,
-                edges,
-                rounds: par_rounds,
-                mode: "parallel".into(),
-                threads,
-                secs_per_run: par_secs,
-                rounds_per_sec: par_rounds as f64 / par_secs,
-                speedup_vs_sequential: seq_secs / par_secs,
-            });
-        }
     }
     for r in &rows {
+        // `.t1` names the one thread every row runs on; the pinned
+        // trajectory rows carry it.
         publish(
             &registry,
-            &format!("e8.n{}.{}.t{}", r.n, r.mode, r.threads),
+            &format!("e8.n{}.{}.t1", r.n, r.mode),
             &[
                 ("rounds_per_sec", r.rounds_per_sec),
                 ("secs_per_run", r.secs_per_run),
@@ -818,7 +791,6 @@ pub fn e8(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
             r.edges.to_string(),
             r.rounds.to_string(),
             r.mode.clone(),
-            r.threads.to_string(),
             format!("{:.2?}", std::time::Duration::from_secs_f64(r.secs_per_run)),
             format!("{:.0}", r.rounds_per_sec),
             format!("{:.2}", r.speedup_vs_sequential),
@@ -829,7 +801,6 @@ pub fn e8(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
         experiment: "E8".into(),
         meta: wdr_metrics::RunMeta::capture(&seed_list),
         host_threads,
-        parallel_feature: cfg!(feature = "parallel"),
         rows,
         metrics: registry.snapshot().to_pairs(),
     };
@@ -845,14 +816,9 @@ pub fn e8(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
          broadcasts a 64-bit digest each round and burns {work} mixer iterations \
          locally). The `sequential+metrics` row re-times the engine with a \
          `SimMetrics` bundle as its tracer and is asserted within noise (≤1.5×) of the \
-         bare row; its registry snapshot is embedded in the JSON. Parallel rows \
-         fan the compute phase over a pinned rayon pool; \
-         outputs are asserted bit-identical to the sequential engine before any \
-         row is reported. Speedups only materialize with real cores — this host \
-         reports {host_threads} (recorded as `host_threads` in \
-         BENCH_step_engine.json; on a single-core host the parallel rows measure \
-         scheduling overhead, not speedup). Parallel feature compiled: {}.",
-        cfg!(feature = "parallel"),
+         bare row and its outputs asserted bit-identical; its registry snapshot is \
+         embedded in the JSON. This host reports {host_threads} hardware threads \
+         (recorded as `host_threads` in BENCH_step_engine.json).",
     );
     ExperimentOutput {
         tables: vec![table],

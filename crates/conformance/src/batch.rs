@@ -69,7 +69,7 @@ impl ScenarioTiming {
 /// `BinaryTree`) depend only on `(family, n, max_weight)`; the
 /// seeded-random families (`ErdosRenyi`, `ClusterRing`) additionally fold
 /// in the seed that drives their ChaCha stream. Fault plan, parallelism
-/// mode, and workload never touch graph construction and are deliberately
+/// tag, and workload never touch graph construction and are deliberately
 /// absent.
 pub fn graph_key(spec: &ScenarioSpec) -> String {
     match spec.family {
@@ -112,10 +112,9 @@ fn group_by_key<T, K: Eq + Hash>(items: &[T], key: impl Fn(&T) -> K) -> Vec<Vec<
 /// task (on a pool worker, or on the calling thread while it helps drain
 /// the queue) and writes its own bucket (disjoint `&mut`, no locks on the result
 /// path); thread-local guards a group needs must therefore be installed
-/// inside `run_group`. The index-ordered reduction — the discipline of
-/// `parallel_equiv.rs` — makes the output order, and every value a
-/// schedule-independent `run_group` produces, identical at every lane
-/// count.
+/// inside `run_group`. The index-ordered reduction makes the output
+/// order, and every value a schedule-independent `run_group` produces,
+/// identical at every lane count.
 ///
 /// # Panics
 ///

@@ -11,8 +11,8 @@
 //! `run` exits non-zero when any oracle fails (which is the *expected*
 //! outcome under `--mutate`: the self-check that the suite catches a
 //! seeded approximation bug). `replay` re-runs one seed and, if it fails,
-//! greedily shrinks it (halve `n`, drop faults, force sequential,
-//! collapse weights) and prints the smallest still-failing spec.
+//! greedily shrinks it (halve `n`, drop faults, collapse weights) and
+//! prints the smallest still-failing spec.
 
 use quantum_sim::mutation::Mutation;
 use std::path::PathBuf;

@@ -10,7 +10,7 @@
 //!
 //! * [`scenario`] — [`scenario::ScenarioSpec`], a *pure function of a
 //!   `u64` seed*: graph family × `(n, D, weight-range)` regime × fault
-//!   plan × parallelism mode × workload. Specs are self-describing so a
+//!   plan × parallelism tag × workload. Specs are self-describing so a
 //!   failing seed can be shrunk (halve `n`, drop faults, …) and the
 //!   shrunken spec replayed verbatim.
 //! * [`corpus`] — the on-disk format (`tests/corpus/*.ron`) and directory

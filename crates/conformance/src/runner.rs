@@ -257,8 +257,8 @@ pub struct ShrinkOutcome {
     pub failure: String,
 }
 
-/// Greedy shrink: while any candidate (halve `n` / drop faults / force
-/// sequential / collapse weights) still fails, descend into it. Returns
+/// Greedy shrink: while any candidate (halve `n` / drop faults / collapse
+/// weights) still fails, descend into it. Returns
 /// `None` when `spec` does not fail in the first place. Terminates because
 /// every candidate strictly decreases
 /// [`ScenarioSpec::size_measure`].

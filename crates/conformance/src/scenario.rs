@@ -10,7 +10,7 @@
 //! scenario any past run saw for `S`.
 
 use congest_graph::WeightedGraph;
-use congest_sim::{FaultPlan, Parallelism, SimConfig};
+use congest_sim::{FaultPlan, SimConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wdr_metrics::util::splitmix64;
@@ -67,14 +67,15 @@ pub enum FaultSpec {
     },
 }
 
-/// Round-engine execution mode of a scenario.
+/// A scenario's `parallelism` tag. The simulator has one round engine, so
+/// the tag changes nothing about a run; it stays in the spec because the
+/// generator draws it and the corpus files carry it, and dropping either
+/// would change every later draw and the corpus fingerprint.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum ParMode {
-    /// Sequential round engine.
+    /// Tagged sequential.
     Sequential,
-    /// Parallel round engine (falls back to sequential without the
-    /// `parallel` cargo feature — the scenario is still valid and the
-    /// determinism oracle covers the fallback).
+    /// Tagged parallel (runs exactly as [`ParMode::Sequential`]).
     Parallel,
 }
 
@@ -110,7 +111,7 @@ pub struct ScenarioSpec {
     pub max_weight: u64,
     /// Fault plan.
     pub faults: FaultSpec,
-    /// Round-engine mode.
+    /// Inert corpus tag (see [`ParMode`]).
     pub parallelism: ParMode,
     /// Workload and oracle set.
     pub workload: Workload,
@@ -273,10 +274,6 @@ impl ScenarioSpec {
                 ));
             }
         }
-        cfg = cfg.with_parallelism(match self.parallelism {
-            ParMode::Sequential => Parallelism::Sequential,
-            ParMode::Parallel => Parallelism::Parallel,
-        });
         cfg
     }
 
@@ -293,18 +290,14 @@ impl ScenarioSpec {
             FaultSpec::NoFaults => 0,
             _ => 1,
         };
-        let par_cost = match self.parallelism {
-            ParMode::Sequential => 0,
-            ParMode::Parallel => 1,
-        };
         let weight_cost = if self.max_weight > 1 { 1 } else { 0 };
-        (self.n as u64) * 8 + fault_cost + par_cost + weight_cost
+        (self.n as u64) * 8 + fault_cost + weight_cost
     }
 
     /// The shrink candidates for this spec, each strictly smaller under
     /// [`ScenarioSpec::size_measure`], ordered most-aggressive first:
-    /// halve `n`, drop the fault plan, force sequential, collapse weights
-    /// to 1. The replayer keeps shrinking while a candidate still fails.
+    /// halve `n`, drop the fault plan, collapse weights to 1. The replayer
+    /// keeps shrinking while a candidate still fails.
     pub fn shrink_candidates(&self) -> Vec<ScenarioSpec> {
         let mut out = Vec::new();
         let halved = ScenarioSpec {
@@ -318,12 +311,6 @@ impl ScenarioSpec {
         if self.faults != FaultSpec::NoFaults {
             out.push(ScenarioSpec {
                 faults: FaultSpec::NoFaults,
-                ..*self
-            });
-        }
-        if self.parallelism == ParMode::Parallel {
-            out.push(ScenarioSpec {
-                parallelism: ParMode::Sequential,
                 ..*self
             });
         }

@@ -1,5 +1,4 @@
-//! Batch == isolated-run bit-identity, pinned by proptest (the same
-//! discipline as `parallel_equiv.rs` in the simulator): for random
+//! Batch == isolated-run bit-identity, pinned by proptest: for random
 //! families × lane counts × fault plans, every scenario of a batched run
 //! must reproduce what the same spec yields when run alone — a singleton
 //! group with its own private setup — down to oracle verdicts and details,
@@ -14,7 +13,7 @@ use wdr_conformance::scenario::{ScenarioSpec, Workload};
 
 /// Seed → spec, with quantum node counts clamped so debug-mode test runs
 /// stay fast. The clamp preserves the seed-derived variety (family, fault
-/// plan, parallelism) that the equivalence property must range over.
+/// plan) that the equivalence property must range over.
 fn spec_for(seed: u64) -> ScenarioSpec {
     let mut spec = ScenarioSpec::from_seed(seed);
     if matches!(

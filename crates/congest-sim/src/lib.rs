@@ -66,8 +66,8 @@ pub mod telemetry;
 pub use faults::FaultPlan;
 pub use metrics::SimMetrics;
 pub use model::{
-    bit_len, Bandwidth, MaybeSend, MaybeSendSync, MessageRecord, NodeCtx, Parallelism, Payload,
-    ResilienceBudget, RoundStats, SimConfig, SimError, Status, DEFAULT_MESSAGE_LOG_CAP,
+    bit_len, Bandwidth, MessageRecord, NodeCtx, Payload, ResilienceBudget, RoundStats, SimConfig,
+    SimError, Status, DEFAULT_MESSAGE_LOG_CAP,
 };
 pub use network::{run_phase, Mailbox, Network, NodeProgram};
 pub use telemetry::{Telemetry, TraceEvent, Tracer};

@@ -8,9 +8,8 @@
 //! `tests/zero_alloc.rs`), so the bundle stays cheap in benchmark runs.
 //!
 //! Counters are exact and order-independent, and the per-round histograms
-//! merge with index-ordered integer adds, so a metrics-on parallel run
-//! remains bit-identical to its sequential twin in every observable
-//! *including* the final metric values.
+//! merge with index-ordered integer adds, so the final metric values are
+//! as deterministic as every other observable of a run.
 
 use crate::faults::DropReason;
 use crate::telemetry::{TraceEvent, Tracer};

@@ -14,38 +14,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// Marker supertrait of [`crate::NodeProgram`]: [`Send`] when the
-/// `parallel` feature is enabled (node programs move to pool threads during
-/// the compute phase), satisfied by every type otherwise.
-#[cfg(feature = "parallel")]
-pub trait MaybeSend: Send {}
-#[cfg(feature = "parallel")]
-impl<T: Send + ?Sized> MaybeSend for T {}
-
-/// Marker supertrait of [`crate::NodeProgram`]: [`Send`] when the
-/// `parallel` feature is enabled (node programs move to pool threads during
-/// the compute phase), satisfied by every type otherwise.
-#[cfg(not(feature = "parallel"))]
-pub trait MaybeSend {}
-#[cfg(not(feature = "parallel"))]
-impl<T: ?Sized> MaybeSend for T {}
-
-/// Marker supertrait of [`Payload`]: [`Send`]` + `[`Sync`] when the
-/// `parallel` feature is enabled (inboxes are read, and outboxes filled,
-/// from pool threads), satisfied by every type otherwise.
-#[cfg(feature = "parallel")]
-pub trait MaybeSendSync: Send + Sync {}
-#[cfg(feature = "parallel")]
-impl<T: Send + Sync + ?Sized> MaybeSendSync for T {}
-
-/// Marker supertrait of [`Payload`]: [`Send`]` + `[`Sync`] when the
-/// `parallel` feature is enabled (inboxes are read, and outboxes filled,
-/// from pool threads), satisfied by every type otherwise.
-#[cfg(not(feature = "parallel"))]
-pub trait MaybeSendSync {}
-#[cfg(not(feature = "parallel"))]
-impl<T: ?Sized> MaybeSendSync for T {}
-
 /// Data a message payload must expose so the simulator can charge bandwidth.
 ///
 /// `size_bits` should be the length of a reasonable binary encoding of the
@@ -53,7 +21,7 @@ impl<T: ?Sized> MaybeSendSync for T {}
 /// bit length. The simulator enforces the per-channel per-round budget
 /// against these sizes, which keeps algorithm implementations honest about
 /// what fits in one CONGEST round.
-pub trait Payload: Clone + fmt::Debug + MaybeSendSync {
+pub trait Payload: Clone + fmt::Debug {
     /// Size of this message in bits.
     fn size_bits(&self) -> u32;
 }
@@ -217,27 +185,6 @@ pub enum Status {
 /// [`SimConfig::message_log_cap`].
 pub const DEFAULT_MESSAGE_LOG_CAP: usize = 4_000_000;
 
-/// How the network executes the per-node compute phase of each round.
-///
-/// The two engines are **bit-identical** in every observable — outputs,
-/// [`RoundStats`], and the emitted trace-event sequence — because node
-/// programs only read their own inbox and write their own outbox during
-/// compute, and the merge phase always processes outboxes in ascending
-/// sender order on the calling thread (fault decisions are pure hashes of
-/// their coordinates, so they cannot observe scheduling either). See
-/// DESIGN.md §"Round engine".
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum Parallelism {
-    /// Run nodes one after another on the calling thread (the default).
-    #[default]
-    Sequential,
-    /// Fan the compute phase across the ambient thread pool (the pool a
-    /// surrounding `rayon::ThreadPool::install` provides, else the global
-    /// one). Requires the `parallel` cargo feature; without it this variant
-    /// falls back to sequential execution.
-    Parallel,
-}
-
 /// Simulator configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -271,9 +218,6 @@ pub struct SimConfig {
     /// cloning a config between algorithm phases never copies the plan's
     /// link/crash/burst tables.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Round-engine execution mode (see [`Parallelism`]); sequential by
-    /// default.
-    pub parallelism: Parallelism,
 }
 
 impl SimConfig {
@@ -287,7 +231,6 @@ impl SimConfig {
             profile_channels: false,
             telemetry: Telemetry::off(),
             faults: None,
-            parallelism: Parallelism::Sequential,
         }
     }
 
@@ -325,13 +268,6 @@ impl SimConfig {
     /// Attaches a fault-injection plan (builder style); see [`crate::faults`].
     pub fn with_faults(mut self, plan: FaultPlan) -> SimConfig {
         self.faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// Selects the round-engine execution mode (builder style); see
-    /// [`Parallelism`].
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> SimConfig {
-        self.parallelism = parallelism;
         self
     }
 }

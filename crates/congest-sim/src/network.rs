@@ -1,16 +1,11 @@
 //! The synchronous round-by-round network runner.
 
 use crate::faults::{DropReason, FaultOracle, FaultPlan};
-use crate::model::{
-    MaybeSend, MessageRecord, NodeCtx, Payload, RoundStats, SimConfig, SimError, Status,
-};
+use crate::model::{MessageRecord, NodeCtx, Payload, RoundStats, SimConfig, SimError, Status};
 use crate::telemetry::{BandwidthProfile, TraceEvent};
 use congest_graph::{NodeId, WeightedGraph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-#[cfg(feature = "parallel")]
-use crate::model::Parallelism;
 
 /// A per-node algorithm.
 ///
@@ -19,11 +14,7 @@ use crate::model::Parallelism;
 /// with messages for the next round via [`Mailbox`].
 ///
 /// Local computation is free (the CONGEST model only counts communication).
-///
-/// Under the `parallel` cargo feature the [`MaybeSend`] supertrait resolves
-/// to [`Send`], so programs can be fanned across the compute-phase thread
-/// pool; without it the bound is empty and nothing changes.
-pub trait NodeProgram: MaybeSend {
+pub trait NodeProgram {
     /// Message type exchanged by this program.
     type Msg: Payload;
     /// Per-node result extracted when the run finishes.
@@ -135,10 +126,6 @@ pub struct Network<P: NodeProgram> {
     wakes: BinaryHeap<Reverse<(usize, NodeId, u32)>>,
     /// Each node's ticket for its latest sleep.
     ticket: Vec<u32>,
-    /// The live awake nodes of the round executing, ascending: the list
-    /// the parallel compute phase cuts into runs.
-    #[cfg(feature = "parallel")]
-    stepped: Vec<NodeId>,
     /// Messages to deliver next round: `pending[v] = (from, msg)*`.
     /// Double-buffered with `inboxes`: the two arenas swap every round and
     /// are recycled via `clear()`, so a steady-state round allocates nothing.
@@ -266,8 +253,6 @@ impl<P: NodeProgram> Network<P> {
             awake,
             wakes: BinaryHeap::new(),
             ticket: vec![0; n],
-            #[cfg(feature = "parallel")]
-            stepped: Vec::with_capacity(n),
             pending: (0..n).map(|_| Vec::new()).collect(),
             pending_to: Vec::with_capacity(n),
             inboxes: (0..n).map(|_| Vec::new()).collect(),
@@ -471,14 +456,14 @@ impl<P: NodeProgram> Network<P> {
     /// Each round runs in two phases. **Compute**: every live node that is
     /// awake — not [`Status::Sleep`]ing, or woken by its wake round or by a
     /// delivery — runs [`NodeProgram::round`] against its own inbox and its
-    /// own pre-owned outbox. Nothing is shared, so under the `parallel`
-    /// feature (with [`crate::Parallelism::Parallel`]) the nodes fan across
-    /// a thread pool. **Merge**: outboxes drain into the per-destination
-    /// inbox arenas in ascending sender order, where bandwidth accounting,
-    /// telemetry, and fault decisions happen single-threaded. Fault
+    /// own pre-owned outbox, in ascending id order; no node can observe
+    /// another's round-`r` activity. **Merge**: outboxes drain into the
+    /// per-destination inbox arenas in ascending sender order, where
+    /// bandwidth accounting, telemetry, and fault decisions happen. Fault
     /// decisions are pure hashes of `(seed, round, edge, message index)`,
     /// so the merge — and with it every output, statistic, and trace event
-    /// — is bit-identical however the compute phase was scheduled.
+    /// — is a deterministic function of the graph, the programs and the
+    /// config.
     ///
     /// When no live node is awake and no message is in flight, the rounds
     /// up to the earliest wake are **jumped**: they count in
@@ -698,11 +683,6 @@ impl<P: NodeProgram> Network<P> {
     /// [`NodeProgram::round`], each reading only its own inbox and writing
     /// only its own outbox.
     fn compute(&mut self, round: usize) {
-        #[cfg(feature = "parallel")]
-        if self.config.parallelism == Parallelism::Parallel {
-            self.compute_parallel(round);
-            return;
-        }
         for i in 0..self.awake.len() {
             for v in (Bits {
                 rest: self.awake[i],
@@ -718,53 +698,6 @@ impl<P: NodeProgram> Network<P> {
                 }
             }
         }
-    }
-
-    /// Fans the compute phase across the ambient thread pool: the live
-    /// awake nodes are cut into equal-count runs, one spawn each, and every
-    /// run takes the contiguous slice of programs, statuses and outboxes
-    /// its ids span. Safe because those slices are disjoint `&mut`, and
-    /// everything shared (ctxs, inboxes) is read-only; equivalent to the
-    /// sequential loop because no node can observe another's round-`r`
-    /// activity.
-    #[cfg(feature = "parallel")]
-    fn compute_parallel(&mut self, round: usize) {
-        self.stepped.clear();
-        self.stepped
-            .extend(ones(&self.awake).filter(|&v| !self.crashed_now[v]));
-        let threads = rayon::current_num_threads().max(1);
-        let per = self.stepped.len().div_ceil(threads).max(1);
-        let stepped = &self.stepped;
-        let ctxs = &self.ctxs;
-        let inboxes = &self.inboxes;
-        let mut programs = &mut self.programs[..];
-        let mut statuses = &mut self.status[..];
-        let mut mailboxes = &mut self.mailboxes[..];
-        let mut base = 0;
-        rayon::scope(|s| {
-            for ids in stepped.chunks(per) {
-                let end = ids[ids.len() - 1] + 1;
-                let (programs_run, rest) = std::mem::take(&mut programs).split_at_mut(end - base);
-                programs = rest;
-                let (statuses_run, rest) = std::mem::take(&mut statuses).split_at_mut(end - base);
-                statuses = rest;
-                let (mailboxes_run, rest) = std::mem::take(&mut mailboxes).split_at_mut(end - base);
-                mailboxes = rest;
-                let offset = base;
-                base = end;
-                s.spawn(move || {
-                    for &v in ids {
-                        let i = v - offset;
-                        statuses_run[i] = programs_run[i].round(
-                            &ctxs[v],
-                            round,
-                            &inboxes[v],
-                            &mut mailboxes_run[i],
-                        );
-                    }
-                });
-            }
-        });
     }
 
     /// Runs until quiescence and returns every node's output.

@@ -126,7 +126,9 @@ proptest! {
 }
 
 /// Fixed cases: a jump across a crash window that opens in round 1 and one
-/// that never closes, and a jump that runs into the round cap.
+/// that never closes, and a jump that runs into the round cap. A second
+/// fresh network over the same config reproduces every observable: a run
+/// depends on nothing but its graph, programs and config.
 #[test]
 fn sleeping_engine_matches_on_fixed_cases() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -147,6 +149,8 @@ fn sleeping_engine_matches_on_fixed_cases() {
         let sleeping = observe(&g, &cfg, || Napper::new(80, 23));
         let dense = observe(&g, &cfg, || Dense(Napper::new(80, 23)));
         assert_eq!(sleeping, dense);
+        assert_eq!(sleeping, observe(&g, &cfg, || Napper::new(80, 23)));
+        assert_eq!(dense, observe(&g, &cfg, || Dense(Napper::new(80, 23))));
     }
     let capped = observe(&g, &base.with_max_rounds(30), || Napper::new(80, 23));
     assert_eq!(

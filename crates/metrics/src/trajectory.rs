@@ -10,8 +10,8 @@
 //! `wdr-perf compare` gates later runs against.
 //!
 //! Gating is deliberately conservative: only *machine-independent* metrics
-//! (envelope constants `.c_max`, SumSweep `.sweep_fraction`, parallel
-//! `.speedup` ratios) fail the gate; raw timings and
+//! (envelope constants `.c_max`, SumSweep `.sweep_fraction`, `.speedup`
+//! ratios) fail the gate; raw timings and
 //! throughputs are machine-dependent and appear in the delta table as
 //! informational rows. Metrics present in the baseline but absent from the
 //! candidate are *skipped with a warning* rather than failed: a pinned row
@@ -176,7 +176,7 @@ pub fn direction(name: &str) -> Direction {
 
 /// Whether `name` participates in the regression gate. Only
 /// machine-independent metrics do: fitted envelope constants, SumSweep
-/// sweep fractions, and parallel speedup ratios (including the batch
+/// sweep fractions, and speedup ratios (including the batch
 /// engine's corpus speedup, `.batch_speedup` — note the `_` keeps it out of
 /// the plain `.speedup` suffix).
 pub fn gated(name: &str) -> bool {
@@ -650,7 +650,7 @@ mod tests {
     fn extractor_reads_embedded_pairs_only() {
         let mut out = BTreeMap::new();
         let artifact = serde_json::from_str(
-            r#"{"rows":[{"n":48,"mode":"parallel","threads":4,"speedup_vs_sequential":2.5}],
+            r#"{"rows":[{"n":48,"mode":"sequential+metrics","speedup_vs_sequential":0.98}],
                 "regimes":[{"regime":"q","c_max":9.0}],
                 "metrics":[["e9.x.sweep_fraction",0.023],["conformance.q.c_max",2.0],
                     ["e13.x.failed",1],["bad"],[3,4],["nan",null]]}"#,
@@ -674,7 +674,7 @@ mod tests {
             ("e9.n512.sparse.w128.sumsweep.sweep_fraction", true, Lower),
             ("conformance.q.c_max", true, Lower),
             ("conformance.q.samples", false, Higher),
-            ("e8.n48.parallel.t4.speedup", true, Higher),
+            ("e8.n48.sequential+metrics.t1.speedup", true, Higher),
             ("e11.power_law.n1000000.sumsweep.solve_secs", false, Lower),
             (
                 "e11.power_law.n1000000.sumsweep.sweep_fraction",

@@ -1,7 +1,7 @@
 //! Property coverage for the log₂ histogram (ISSUE 6 satellite): the
 //! quantile sandwich against an exact sort, merge associativity and
 //! commutativity, and bit-identical parallel vs sequential reduction
-//! (mirroring `congest-sim/tests/parallel_equiv.rs`).
+//! on rayon workers.
 
 use proptest::prelude::*;
 use wdr_metrics::Histogram;
@@ -92,9 +92,8 @@ proptest! {
     }
 
     /// Per-thread partials reduced in index order are bit-identical to the
-    /// sequential single-histogram run — the same guarantee the parallel
-    /// round engine gives (`parallel_equiv.rs`), carried by the metrics
-    /// layer so metrics-on parallel runs stay deterministic.
+    /// sequential single-histogram run, so histograms filled on several
+    /// threads reduce deterministically.
     #[test]
     fn parallel_reduction_is_bit_identical(
         values in proptest::collection::vec(any::<u64>(), 1..=512),
