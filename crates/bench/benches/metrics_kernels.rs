@@ -5,7 +5,6 @@
 //!
 //! ```sh
 //! cargo bench -p wdr-bench --bench metrics_kernels
-//! cargo bench -p wdr-bench --bench metrics_kernels --features parallel
 //! ```
 //!
 //! This bench times the raw kernels; the tables binary's E9 experiment
@@ -63,36 +62,5 @@ fn bench_sssp_workspace(c: &mut Criterion) {
     });
 }
 
-#[cfg(feature = "parallel")]
-fn bench_parallel(c: &mut Criterion) {
-    for n in [256usize, 512] {
-        let g = er(n, 8);
-        for threads in [2usize, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool builds");
-            c.bench_function(
-                &format!("metrics_kernels/parallel-brute/n={n}/threads={threads}"),
-                |b| {
-                    b.iter(|| {
-                        pool.install(|| sweep::par_brute_force_extremes(&g, EdgeMetric::Weighted))
-                    })
-                },
-            );
-        }
-    }
-}
-
-#[cfg(not(feature = "parallel"))]
-fn bench_parallel(_c: &mut Criterion) {
-    eprintln!("metrics_kernels: parallel rows skipped (build with --features parallel)");
-}
-
-criterion_group!(
-    metrics_kernels,
-    bench_extremes,
-    bench_sssp_workspace,
-    bench_parallel
-);
+criterion_group!(metrics_kernels, bench_extremes, bench_sssp_workspace);
 criterion_main!(metrics_kernels);

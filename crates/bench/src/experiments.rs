@@ -846,7 +846,6 @@ struct E9Report {
     experiment: String,
     meta: wdr_metrics::RunMeta,
     host_threads: usize,
-    parallel_feature: bool,
     rows: Vec<E9Row>,
     /// Registry snapshot of the row figures, `e9.n{n}.{density}.w{W}.{kernel}.…`.
     metrics: Vec<(String, f64)>,
@@ -869,8 +868,8 @@ fn e9_time(
 }
 
 /// E9: ground-truth kernel throughput — the seed's brute-force `n`-sweep
-/// extremes vs the pruned SumSweep computer (vs, with `--features
-/// parallel`, the rayon fan-out) across size/density/weight regimes.
+/// extremes vs the pruned SumSweep computer across size/density/weight
+/// regimes.
 /// Writes `BENCH_metrics_kernels.json` under `out_dir`.
 pub fn e9(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     use congest_graph::sweep::{self, EdgeMetric};
@@ -958,24 +957,6 @@ pub fn e9(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
                     secs_per_run: ss_secs,
                     speedup_vs_brute: speedup,
                 });
-                #[cfg(feature = "parallel")]
-                {
-                    let (par_secs, par) = e9_time(measurement, || {
-                        sweep::par_brute_force_extremes(&g, EdgeMetric::Weighted)
-                    });
-                    assert_eq!(par, brute, "parallel kernel diverged at n={n}");
-                    rows.push(E9Row {
-                        n,
-                        edges,
-                        density: dname.into(),
-                        max_weight: w,
-                        kernel: "parallel-brute".into(),
-                        sweeps: par.sweeps,
-                        sweep_fraction: 1.0,
-                        secs_per_run: par_secs,
-                        speedup_vs_brute: brute_secs / par_secs,
-                    });
-                }
             }
         }
     }
@@ -1007,7 +988,6 @@ pub fn e9(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
         experiment: "E9".into(),
         meta: wdr_metrics::RunMeta::capture(&seed_list),
         host_threads,
-        parallel_feature: cfg!(feature = "parallel"),
         rows,
         metrics: registry.snapshot().to_pairs(),
     };
@@ -1025,10 +1005,8 @@ pub fn e9(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
          exactness after the listed sweep count — asserted equal to brute on every \
          configuration, ≤ n/4 sweeps at n ≥ 512, and ≥ 3× faster at n = {n_max}. \
          Weights straddle the Dial bucket-queue cutoff (W ≤ {}) so both SSSP inner \
-         kernels are exercised. Parallel rows (feature-compiled: {}) fan the brute \
-         sweeps over rayon with an index-ordered reduction, asserted bit-identical.",
+         kernels are exercised.",
         congest_graph::DIAL_MAX_WEIGHT,
-        cfg!(feature = "parallel"),
     );
     ExperimentOutput {
         tables: vec![table],
@@ -1060,7 +1038,6 @@ struct E11Report {
     experiment: String,
     meta: wdr_metrics::RunMeta,
     host_threads: usize,
-    parallel_feature: bool,
     rows: Vec<E11Row>,
     /// Registry snapshot of the row figures, `e11.{family}.n{n}.{kernel}.…`.
     metrics: Vec<(String, f64)>,
@@ -1068,13 +1045,12 @@ struct E11Report {
 
 /// E11: million-node graph scale — the full giant-graph pipeline. Each
 /// family is generated edge-by-edge through the streaming `GraphWriter`
-/// (never a materialized edge list) and solved by sequential SumSweep;
-/// with `--features parallel` the batched rayon SumSweep must agree on D
-/// and R exactly. Gate: pruned SumSweep certifies within n/4 sweeps.
+/// (never a materialized edge list) and solved by SumSweep. Gate: pruned
+/// SumSweep certifies within n/4 sweeps.
 /// Writes `BENCH_giant.json` under `out_dir`.
 pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     use congest_graph::generators::stream::StreamSpec;
-    use congest_graph::sweep::{self, EdgeMetric};
+    use congest_graph::sweep;
     use std::time::Instant;
     let host_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     // Small weights keep every sweep on the Dial bucket-queue fast path —
@@ -1147,36 +1123,19 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
                 "SumSweep needed {}/{n} sweeps on {family} — pruning regressed",
                 ss.sweeps
             );
-            let mut push = |kernel: &str, res: congest_graph::SweepResult, secs: f64| {
-                rows.push(E11Row {
-                    family: family.to_string(),
-                    n,
-                    edges,
-                    gen_ms: gen_secs * 1e3,
-                    kernel: kernel.to_string(),
-                    sweeps: res.sweeps,
-                    sweep_fraction: res.sweeps as f64 / n as f64,
-                    solve_secs: secs,
-                    nodes_per_sec: res.sweeps as f64 * n as f64 / secs,
-                    diameter: res.diameter.expect_finite(),
-                    radius: res.radius.expect_finite(),
-                });
-            };
-            push("sumsweep", ss, solve_secs);
-            #[cfg(feature = "parallel")]
-            {
-                let t2 = Instant::now();
-                let par = sweep::par_extremes_with(&g, EdgeMetric::Weighted, 4);
-                let par_secs = t2.elapsed().as_secs_f64().max(1e-9);
-                assert_eq!(
-                    (par.diameter, par.radius),
-                    (ss.diameter, ss.radius),
-                    "batched parallel SumSweep answers diverged on {family} n={n}"
-                );
-                push("parallel-sumsweep", par, par_secs);
-            }
-            #[cfg(not(feature = "parallel"))]
-            let _ = EdgeMetric::Weighted;
+            rows.push(E11Row {
+                family: family.to_string(),
+                n,
+                edges,
+                gen_ms: gen_secs * 1e3,
+                kernel: "sumsweep".to_string(),
+                sweeps: ss.sweeps,
+                sweep_fraction: ss.sweeps as f64 / n as f64,
+                solve_secs,
+                nodes_per_sec: ss.sweeps as f64 * n as f64 / solve_secs,
+                diameter: ss.diameter.expect_finite(),
+                radius: ss.radius.expect_finite(),
+            });
         }
     }
     let registry = MetricsRegistry::new();
@@ -1206,7 +1165,6 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
         experiment: "E11".into(),
         meta: wdr_metrics::RunMeta::capture(&seed_list),
         host_threads,
-        parallel_feature: cfg!(feature = "parallel"),
         rows,
         metrics: registry.snapshot().to_pairs(),
     };
@@ -1226,10 +1184,7 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
          frontiers. The grid family is capped at 2·10⁵ nodes: certifying the \
          radius of a grid takes Θ(√n) sweeps (near-tied central \
          eccentricities, the documented pruning worst case), which is a \
-         property of the family, not the pipeline. Parallel rows \
-         (feature-compiled: {}) run the batched rayon SumSweep, asserted to \
-         agree on D and R exactly.",
-        cfg!(feature = "parallel"),
+         property of the family, not the pipeline."
     );
     ExperimentOutput {
         tables: vec![table],

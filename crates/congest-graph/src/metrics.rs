@@ -28,17 +28,9 @@ pub fn eccentricity(g: &WeightedGraph, v: NodeId) -> Dist {
     SsspWorkspace::new().eccentricity(g, v)
 }
 
-/// All eccentricities (`n` workspace-reused Dijkstra sweeps; fanned out over
-/// the rayon pool under the `parallel` feature, with bit-identical results).
+/// All eccentricities (`n` workspace-reused Dijkstra sweeps).
 pub fn eccentricities(g: &WeightedGraph) -> Vec<Dist> {
-    #[cfg(feature = "parallel")]
-    {
-        sweep::par_all_eccentricities(g, EdgeMetric::Weighted)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        sweep::all_eccentricities(g, EdgeMetric::Weighted)
-    }
+    sweep::all_eccentricities(g, EdgeMetric::Weighted)
 }
 
 /// Diameter, radius, and both witnesses from one shared pruned sweep.

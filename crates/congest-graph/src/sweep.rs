@@ -33,9 +33,9 @@
 //! (smallest index on ties), then alternately the unswept node of maximum
 //! upper bound (diameter step) or minimum lower bound (radius step),
 //! tie-broken by the accumulated distance sum and then the smallest index.
-//! The feature-gated parallel fan-out computes the same per-source sweeps on
-//! worker threads and reduces in index order, so its results are
-//! bit-identical to the sequential path (pinned in `tests/kernels.rs`).
+//! Every strategy runs its sweeps one after another on the calling thread,
+//! so equal inputs give bit-identical results, witnesses and sweep counts
+//! (the pruned path is pinned against brute force in `tests/kernels.rs`).
 
 use crate::dist::Dist;
 use crate::graph::{NodeId, WeightedGraph};
@@ -323,35 +323,6 @@ pub fn all_eccentricities(g: &WeightedGraph, metric: EdgeMetric) -> Vec<Dist> {
     out
 }
 
-/// All `n` eccentricities under `metric`, fanned out over the rayon pool.
-///
-/// Each worker owns a private [`SsspWorkspace`] and writes a contiguous
-/// index-ordered chunk of the output, so the result is bit-identical to
-/// [`all_eccentricities`] regardless of thread count or scheduling.
-#[cfg(feature = "parallel")]
-pub fn par_all_eccentricities(g: &WeightedGraph, metric: EdgeMetric) -> Vec<Dist> {
-    let n = g.n();
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = n.div_ceil(threads).max(1);
-    let mut out = vec![Dist::ZERO; n];
-    rayon::scope(|s| {
-        for (c, slot) in out.chunks_mut(chunk).enumerate() {
-            let start = c * chunk;
-            s.spawn(move || {
-                let mut ws = SsspWorkspace::new();
-                for (i, e) in slot.iter_mut().enumerate() {
-                    *e = sweep_dist(&mut ws, g, start + i, metric)
-                        .iter()
-                        .copied()
-                        .max()
-                        .unwrap_or(Dist::ZERO);
-                }
-            });
-        }
-    });
-    out
-}
-
 /// Folds an eccentricity table into a [`SweepResult`] with the seed
 /// tie-breaks: the diameter keeps the *last* maximum (matching
 /// `Iterator::max_by_key`) and the radius the *first* minimum (matching
@@ -387,151 +358,6 @@ fn fold_eccentricities(eccs: &[Dist]) -> SweepResult {
 /// against, and the fallback strategy E9 benchmarks as "brute".
 pub fn brute_force_extremes(g: &WeightedGraph, metric: EdgeMetric) -> SweepResult {
     fold_eccentricities(&all_eccentricities(g, metric))
-}
-
-/// Exhaustive extremes with the sweeps fanned out over the rayon pool;
-/// bit-identical to [`brute_force_extremes`] by the index-ordered reduction.
-#[cfg(feature = "parallel")]
-pub fn par_brute_force_extremes(g: &WeightedGraph, metric: EdgeMetric) -> SweepResult {
-    fold_eccentricities(&par_all_eccentricities(g, metric))
-}
-
-/// Pruned extremes with each round's sweeps fanned out over the rayon pool.
-///
-/// Giant graphs make the `n`-sweep brute-force fan-out useless (10⁶ sweeps
-/// is not an option), so this parallelizes the *pruned* strategy instead:
-/// each round deterministically selects up to `batch` unswept sources from
-/// the current bounds — alternating the diameter pick (max upper bound) and
-/// radius pick (min lower bound), same keys and tie-breaks as the
-/// sequential loop — sweeps them on worker threads, and merges the distance
-/// tables in selection order.
-///
-/// The returned `diameter`/`radius` are exact and therefore equal to
-/// [`extremes_with`] on every input (E11 gates this identity); the batch
-/// schedule may sweep a few more sources than the strictly-sequential
-/// adaptive loop, and witnesses may name a different (equally valid)
-/// extremal node, so `sweeps`/witness fields are not required to match.
-///
-/// # Panics
-///
-/// Panics if `batch == 0`.
-#[cfg(feature = "parallel")]
-pub fn par_extremes_with(g: &WeightedGraph, metric: EdgeMetric, batch: usize) -> SweepResult {
-    assert!(batch > 0, "batch must be positive");
-    let n = g.n();
-    if n <= 1 {
-        return trivial(n);
-    }
-    let mut lo = vec![0u64; n];
-    let mut hi = vec![u64::MAX; n];
-    let mut tot = vec![0u64; n];
-    let mut swept = vec![false; n];
-    let mut sweeps = 0usize;
-    let mut d_lo = 0u64;
-    let mut d_arg = 0usize;
-    let mut r_hi = u64::MAX;
-    let mut r_arg = 0usize;
-    let mut diameter_turn = true;
-    let mut first_round = true;
-
-    let mut sources: Vec<NodeId> = Vec::new();
-    let mut tables: Vec<Vec<Dist>> = Vec::new();
-    loop {
-        // Deterministic batch selection from the current bounds.
-        sources.clear();
-        if first_round {
-            if let Some(hub) = (0..n).max_by_key(|&v| (g.degree(v), Reverse(v))) {
-                sources.push(hub);
-            }
-        }
-        while sources.len() < batch {
-            let pick_diameter = diameter_turn;
-            diameter_turn = !diameter_turn;
-            let fresh = |v: &NodeId| !swept[*v] && !sources.contains(v);
-            let next = if pick_diameter {
-                (0..n)
-                    .filter(fresh)
-                    .max_by_key(|&v| (hi[v], tot[v], Reverse(v)))
-            } else {
-                (0..n).filter(fresh).min_by_key(|&v| (lo[v], tot[v], v))
-            };
-            match next {
-                Some(v) => sources.push(v),
-                None => break,
-            }
-        }
-        if sources.is_empty() {
-            break; // everything swept: bounds are all exact
-        }
-
-        // Fan the batch out; one private workspace and output table per
-        // source, written in index order so the merge is deterministic.
-        tables.clear();
-        tables.resize(sources.len(), Vec::new());
-        rayon::scope(|s| {
-            for (slot, &src) in tables.iter_mut().zip(&sources) {
-                s.spawn(move || {
-                    let mut ws = SsspWorkspace::new();
-                    *slot = sweep_dist(&mut ws, g, src, metric).to_vec();
-                });
-            }
-        });
-
-        // Merge in selection order — identical bound updates to running the
-        // same sources sequentially.
-        for (dist, &source) in tables.iter().zip(&sources) {
-            let mut ecc = 0u64;
-            for &d in dist {
-                match d.finite() {
-                    Some(x) => ecc = ecc.max(x),
-                    None => return disconnected(n, sweeps + 1),
-                }
-            }
-            sweeps += 1;
-            swept[source] = true;
-            for v in 0..n {
-                let dv = dist[v].expect_finite();
-                tot[v] = tot[v].saturating_add(dv);
-                lo[v] = lo[v].max(dv).max(ecc - dv);
-                hi[v] = hi[v].min(ecc.saturating_add(dv));
-            }
-            if ecc > d_lo || sweeps == 1 {
-                d_lo = ecc;
-                d_arg = source;
-            }
-            if ecc < r_hi {
-                r_hi = ecc;
-                r_arg = source;
-            }
-        }
-        first_round = false;
-
-        let mut diameter_settled = true;
-        let mut radius_settled = true;
-        for v in 0..n {
-            if swept[v] {
-                continue;
-            }
-            if hi[v] > d_lo {
-                diameter_settled = false;
-            }
-            if lo[v] < r_hi {
-                radius_settled = false;
-            }
-        }
-        if diameter_settled && radius_settled {
-            break;
-        }
-    }
-
-    SweepResult {
-        diameter: Dist::new(d_lo),
-        radius: Dist::new(r_hi),
-        diameter_witness: d_arg,
-        radius_witness: r_arg,
-        sweeps,
-        n,
-    }
 }
 
 #[cfg(test)]
@@ -689,48 +515,6 @@ mod tests {
             ws.extremes_into(&disconnected, EdgeMetric::Weighted),
             extremes_with(&disconnected, EdgeMetric::Weighted)
         );
-    }
-
-    /// Batched-parallel pruned sweeps return the same exact D/R values as
-    /// the sequential loop on every family, including disconnected and
-    /// trivial inputs, for several batch widths.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn par_extremes_match_sequential_values() {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let mut graphs = vec![
-            WeightedGraph::from_edges(0, []).unwrap(),
-            WeightedGraph::from_edges(1, []).unwrap(),
-            WeightedGraph::from_edges(5, [(0, 1, 2), (2, 3, 7)]).unwrap(),
-            generators::path(9, 2),
-            generators::star(33, 4),
-            generators::cycle(12, 3),
-            generators::grid(5, 6, 3),
-        ];
-        for trial in 0..4 {
-            graphs.push(generators::erdos_renyi_connected(
-                20 + 5 * trial,
-                0.15,
-                9,
-                &mut rng,
-            ));
-        }
-        for g in &graphs {
-            for metric in [EdgeMetric::Weighted, EdgeMetric::Unweighted] {
-                let seq = extremes_with(g, metric);
-                for batch in [1usize, 2, 4, 7] {
-                    let par = par_extremes_with(g, metric, batch);
-                    assert_eq!(par.diameter, seq.diameter, "diameter on {g} batch {batch}");
-                    assert_eq!(par.radius, seq.radius, "radius on {g} batch {batch}");
-                    assert_eq!(par.n, seq.n);
-                    if g.n() > 0 && seq.is_connected() {
-                        let eccs = all_eccentricities(g, metric);
-                        assert_eq!(eccs[par.diameter_witness], par.diameter);
-                        assert_eq!(eccs[par.radius_witness], par.radius);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Ground-truth kernel equivalence, property-tested.
 //!
-//! The pruned sweep computer ([`congest_graph::sweep`]), the flat
-//! [`DistMatrix`] APSP kernels and the feature-gated parallel fan-out must
-//! all be *exactly* interchangeable with the seed's brute-force
-//! formulations — same distances, same extremes, same witnesses, bit for
-//! bit. These proptests pin that contract on random connected AND
-//! disconnected graphs, so any future tweak to source selection, bound
-//! maintenance or reduction order that drifts from the reference fails
-//! loudly here.
+//! The pruned sweep computer ([`congest_graph::sweep`]) and the flat
+//! [`DistMatrix`] APSP kernels must be *exactly* interchangeable with the
+//! seed's brute-force formulations — same distances, same extremes, same
+//! witnesses, bit for bit. These proptests pin that contract on random
+//! connected AND disconnected graphs, so any future tweak to source
+//! selection, bound maintenance or reduction order that drifts from the
+//! reference fails loudly here.
 
 use congest_graph::sweep::{self, EdgeMetric};
 use congest_graph::{generators, metrics, shortest_path, Dist, WeightedGraph};
@@ -123,38 +122,5 @@ proptest! {
         let fw = shortest_path::floyd_warshall(&g);
         prop_assert_eq!(apsp.as_flat(), fw.as_flat());
         prop_assert!(apsp.as_flat().iter().any(|d| !d.is_finite()));
-    }
-}
-
-/// Sequential/parallel bit-identity: the rayon fan-out must reproduce the
-/// sequential kernels exactly, for every metric, connected or not.
-#[cfg(feature = "parallel")]
-mod parallel_identity {
-    use super::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn parallel_kernels_are_bit_identical(g in arb_connected()) {
-            for metric in [EdgeMetric::Weighted, EdgeMetric::Unweighted] {
-                prop_assert_eq!(
-                    sweep::par_all_eccentricities(&g, metric),
-                    sweep::all_eccentricities(&g, metric)
-                );
-                prop_assert_eq!(
-                    sweep::par_brute_force_extremes(&g, metric),
-                    sweep::brute_force_extremes(&g, metric)
-                );
-            }
-        }
-
-        #[test]
-        fn parallel_kernels_match_on_disconnected(g in arb_disconnected()) {
-            prop_assert_eq!(
-                sweep::par_brute_force_extremes(&g, EdgeMetric::Weighted),
-                sweep::brute_force_extremes(&g, EdgeMetric::Weighted)
-            );
-        }
     }
 }
