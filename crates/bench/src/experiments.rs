@@ -701,7 +701,7 @@ fn e8_time_run(
 pub fn e8(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     let host_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     let (ns, rounds, work, measurement) = if quick {
-        (vec![48, 96], 60, 64, std::time::Duration::from_millis(60))
+        (vec![48, 96], 60, 64, std::time::Duration::from_millis(400))
     } else {
         (
             vec![64, 128, 256],

@@ -33,14 +33,24 @@
 //! A delivery wakes it early. Every wake is strictly in the future, so a
 //! broadcast slot missed while crashed stays missed, exactly as when the
 //! node is stepped every round.
+//!
+//! # Per-step work
+//!
+//! Nearly all of the run is bookkeeping, so a step does little of it. A
+//! boundary computes each copy's `(scale, rr)` once, and the wake schedule
+//! reuses them. A relaxation reads `w_i(w)` from a table of
+//! `w_i(1..=min(W, 2m))` per scale, shared by every node and filled by
+//! [`RoundingScheme::fill_weight_table`], instead of dividing; heavier
+//! weights are rounded in place.
 
 use congest_graph::rounding::{ApproxDist, RoundingScheme};
-use congest_graph::{NodeId, WeightedGraph};
+use congest_graph::{NodeId, Weight, WeightedGraph};
 use congest_sim::{
     primitives, Mailbox, NodeCtx, NodeProgram, RoundStats, SimConfig, SimError, Status,
 };
 use rand::Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Result of the multi-source run.
 #[derive(Clone, Debug)]
@@ -75,6 +85,13 @@ struct MultiSourceProgram {
     total_logical: u64,
     /// Per-copy state for the *current* scale of that copy.
     copies: Vec<CopyState>,
+    /// Each scale's rounded weights `w_i(1..=min(W, 2m))`, shared by every
+    /// node, so a relaxation indexes instead of dividing.
+    weight_tables: Arc<[Vec<Weight>]>,
+    /// Each copy's `(scale, rr)` in logical round `phases_at` (`rr` the
+    /// round within the scale), or `None` outside the copy's window.
+    phases: Vec<Option<(u32, u64)>>,
+    phases_at: u64,
     best: Vec<ApproxDist>,
     best_repr: Vec<Option<(u32, u64)>>,
     queue: VecDeque<(u64, u64)>, // (copy index, distance value)
@@ -94,6 +111,13 @@ impl MultiSourceProgram {
         let limit = scheme.threshold().floor() as u64;
         let num_scales = scheme.max_scale(g.n(), g.max_weight()) + 1;
         let max_delay = schedule.iter().map(|&(_, d)| d).max().unwrap_or(0);
+        let weight_tables = (0..num_scales)
+            .map(|i| {
+                let mut table = Vec::new();
+                scheme.fill_weight_table(g, i, &mut table);
+                table
+            })
+            .collect();
         MultiSourceProgram {
             sources: schedule.iter().map(|&(s, _)| s).collect(),
             delays: schedule.iter().map(|&(_, d)| d).collect(),
@@ -108,6 +132,9 @@ impl MultiSourceProgram {
                     broadcasted: false,
                 })
                 .collect(),
+            weight_tables,
+            phases: Vec::with_capacity(b),
+            phases_at: u64::MAX,
             best: vec![f64::INFINITY; b],
             best_repr: vec![None; b],
             queue: VecDeque::new(),
@@ -120,31 +147,30 @@ impl MultiSourceProgram {
     /// this node's state (see the module docs' wake schedule). Boundaries
     /// in between would find an empty buffer, no copy at `rr = 0` and no
     /// broadcast due: no-ops.
-    fn next_event(&self, logical: u64) -> u64 {
-        let next = logical + 1;
+    fn next_event(&mut self, logical: u64) -> u64 {
         if !self.buffer.is_empty() {
-            return next;
+            return logical + 1;
         }
+        self.set_phases(logical);
         let scale_len = self.limit + 1;
-        let t_copy = u64::from(self.num_scales) * scale_len;
         let mut wake = self.total_logical;
         for (j, st) in self.copies.iter().enumerate() {
             let start = self.delays[j];
-            if next <= start {
-                wake = wake.min(start);
+            let Some((scale, rr)) = self.phases[j] else {
+                if logical < start {
+                    wake = wake.min(start);
+                }
                 continue;
+            };
+            // The next scale's reset, unless this is the last scale.
+            let scale_start = start + u64::from(scale) * scale_len;
+            if scale + 1 < self.num_scales {
+                wake = wake.min(scale_start + scale_len);
             }
-            let rho = next - start;
-            if rho >= t_copy {
-                continue;
-            }
-            let reset = start + rho.div_ceil(scale_len) * scale_len;
-            if reset < start + t_copy {
-                wake = wake.min(reset);
-            }
-            let scale_start = start + rho / scale_len * scale_len;
+            // An unannounced distance `d` is broadcast at `rr = d`, still
+            // ahead only if `d > rr`.
             if let (false, Some(d)) = (st.broadcasted, st.dist) {
-                if d > 0 && scale_start + d >= next {
+                if d > rr {
                     wake = wake.min(scale_start + d);
                 }
             }
@@ -152,18 +178,19 @@ impl MultiSourceProgram {
         wake
     }
 
-    fn copy_round(&self, logical: u64, j: usize) -> Option<u64> {
-        let start = self.delays[j];
-        if logical < start {
-            return None;
+    /// Sets `phases` to logical round `logical`'s, unless they already are.
+    fn set_phases(&mut self, logical: u64) {
+        if self.phases_at == logical {
+            return;
         }
-        let rho = logical - start;
-        let t_copy = u64::from(self.num_scales) * (self.limit + 1);
-        if rho >= t_copy {
-            None
-        } else {
-            Some(rho)
-        }
+        self.phases_at = logical;
+        let scale_len = self.limit + 1;
+        let t_copy = u64::from(self.num_scales) * scale_len;
+        self.phases.clear();
+        self.phases.extend(self.delays.iter().map(|&start| {
+            let rho = logical.checked_sub(start).filter(|&rho| rho < t_copy)?;
+            Some(((rho / scale_len) as u32, rho % scale_len))
+        }));
     }
 
     fn commit(&mut self, j: usize, scale: u32, value: u64) {
@@ -176,15 +203,11 @@ impl MultiSourceProgram {
 
     /// Processes the logical-round boundary for logical round `logical`.
     fn boundary(&mut self, ctx: &NodeCtx, logical: u64) {
+        self.set_phases(logical);
         let mut enqueued = 0usize;
         // 1. Scale resets / source starts (copies whose relative round is 0).
         for j in 0..self.copies.len() {
-            let Some(rho) = self.copy_round(logical, j) else {
-                continue;
-            };
-            let rr = rho % (self.limit + 1);
-            let scale = (rho / (self.limit + 1)) as u32;
-            if rr == 0 {
+            if let Some((scale, 0)) = self.phases[j] {
                 self.copies[j] = CopyState {
                     dist: None,
                     broadcasted: false,
@@ -202,32 +225,32 @@ impl MultiSourceProgram {
         //    A message broadcast in a scale's final round (distance L) arrives
         //    after the scale window closed (rr wrapped to 0) and is dropped,
         //    exactly as in Algorithm 2's bounded window.
-        let buffered = std::mem::take(&mut self.buffer);
-        for (from, (j, d_u)) in buffered {
+        for i in 0..self.buffer.len() {
+            let (from, (j, d_u)) = self.buffer[i];
             let j = j as usize;
-            let Some(rho) = self.copy_round(logical, j) else {
+            let Some((scale, rr)) = self.phases[j] else {
                 continue;
             };
-            let rr = rho % (self.limit + 1);
             if rr == 0 {
                 continue;
             }
-            let scale = (rho / (self.limit + 1)) as u32;
             let w = ctx.weight_to(from).expect("neighbor");
-            let wi = self.scheme.rounded_weight(scale, w);
+            let wi = self
+                .scheme
+                .table_weight(&self.weight_tables[scale as usize], scale, w);
             let nd = d_u + wi;
             if nd <= self.limit && self.copies[j].dist.is_none_or(|d| nd < d) {
                 self.copies[j].dist = Some(nd);
                 self.commit(j, scale, nd);
             }
         }
+        self.buffer.clear();
         // 3. Scheduled broadcasts: a node whose settled distance equals the
         //    relative round announces it (once per scale).
         for j in 0..self.copies.len() {
-            let Some(rho) = self.copy_round(logical, j) else {
+            let Some((_, rr)) = self.phases[j] else {
                 continue;
             };
-            let rr = rho % (self.limit + 1);
             if rr == 0 {
                 continue;
             }
@@ -431,6 +454,28 @@ mod tests {
         }
     }
 
+    /// With `W > 2m` the rounded-weight tables stop short of `W`, so the
+    /// heavier weights take the in-place rounding fallback.
+    #[test]
+    fn heavy_weights_match_reference_for_each_source() {
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let g = generators::erdos_renyi_connected(10, 0.3, 1_000_000, &mut rng);
+        assert!(
+            g.max_weight() > 2 * g.m() as u64,
+            "weights exceed the tables"
+        );
+        let sources: Vec<NodeId> = g.nodes().collect();
+        let scheme = RoundingScheme::new(4, 0.5);
+        let res = multi_source_bounded_hop(&g, 0, &sources, scheme, &cfg(&g), &mut rng).unwrap();
+        assert!(!res.failed);
+        for (j, &s) in sources.iter().enumerate() {
+            let want = approx_hop_bounded(&g, s, scheme);
+            for v in g.nodes() {
+                assert_eq!(res.approx[v][j].to_bits(), want[v].to_bits(), "s={s} v={v}");
+            }
+        }
+    }
+
     #[test]
     fn single_source_degenerates_to_algorithm_1() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
@@ -530,7 +575,8 @@ mod tests {
     }
 
     /// A stretched execution's inputs: graph, `(source, delay)` schedule,
-    /// rounding scheme and fault plan.
+    /// rounding scheme and fault plan. One graph in four has weights up to
+    /// `10⁶`, past the end of the rounded-weight tables.
     fn arb_stretched() -> impl Strategy<
         Value = (
             WeightedGraph,
@@ -549,7 +595,8 @@ mod tests {
         )
             .prop_map(|(n, seed, b, ell, faultiness, fseed)| {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let g = generators::erdos_renyi_connected(n, 0.3, 6, &mut rng);
+                let max_w = if rng.gen_bool(0.25) { 1_000_000 } else { 6 };
+                let g = generators::erdos_renyi_connected(n, 0.3, max_w, &mut rng);
                 let delay_cap = (b * log2_ceil(n)) as u64;
                 let schedule = (0..b.min(n))
                     .map(|_| (rng.gen_range(0..n), rng.gen_range(0..=delay_cap)))

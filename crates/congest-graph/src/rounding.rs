@@ -78,6 +78,26 @@ impl RoundingScheme {
         (val.ceil() as u64).max(1)
     }
 
+    /// Overwrites `table` with scale `i`'s rounded weights
+    /// `w_i(1..=min(W, 2m))` of `g`, for [`RoundingScheme::table_weight`].
+    /// The length cap means filling it never costs more divisions than
+    /// rounding every directed edge once.
+    pub fn fill_weight_table(&self, g: &WeightedGraph, i: u32, table: &mut Vec<Weight>) {
+        table.clear();
+        let len = weight_table_len(g) as Weight;
+        table.extend((1..=len).map(|w| self.rounded_weight(i, w)));
+    }
+
+    /// `w_i(w)`, read from a `table` that [`RoundingScheme::fill_weight_table`]
+    /// filled for scale `i`; a weight past its end is rounded in place.
+    #[inline]
+    pub fn table_weight(&self, table: &[Weight], i: u32, w: Weight) -> Weight {
+        match table.get(w.wrapping_sub(1) as usize) {
+            Some(&wi) => wi,
+            None => self.rounded_weight(i, w),
+        }
+    }
+
     /// The graph `(G, w_i)` for scale `i`.
     pub fn rounded_graph(&self, g: &WeightedGraph, i: u32) -> WeightedGraph {
         g.map_weights(|w| self.rounded_weight(i, w))
@@ -149,9 +169,8 @@ pub fn approx_hop_bounded(g: &WeightedGraph, s: NodeId, scheme: RoundingScheme) 
 /// scales.
 ///
 /// Each scale reads `w_i(w)` from a table of `w_i(1..=min(W, 2m))` kept in
-/// `ws`, so a relaxation indexes instead of dividing; filling the table
-/// costs at most one division per directed edge. A weight past the
-/// table's end is rounded in place by the same [`RoundingScheme::rounded_weight`].
+/// `ws` ([`RoundingScheme::fill_weight_table`]), so a relaxation indexes
+/// instead of dividing.
 ///
 /// # Panics
 ///
@@ -174,17 +193,9 @@ pub fn approx_hop_bounded_into(
     // Moved out so the search below can borrow `ws`; moving a `Vec` in and
     // out never allocates.
     let mut table = std::mem::take(&mut ws.weight_table);
-    let len = weight_table_len(g) as Weight;
     for i in 0..=imax {
-        table.clear();
-        table.extend((1..=len).map(|w| scheme.rounded_weight(i, w)));
-        let rounded = |w: Weight| {
-            if w <= len {
-                table[(w - 1) as usize]
-            } else {
-                scheme.rounded_weight(i, w)
-            }
-        };
+        scheme.fill_weight_table(g, i, &mut table);
+        let rounded = |w: Weight| scheme.table_weight(&table, i, w);
         // Rounded weights are applied during relaxation, and labels above
         // the threshold are never settled: every finite label is accepted.
         let di = ws.dijkstra_mapped_into(g, s, limit, rounded);
@@ -206,9 +217,8 @@ pub fn approx_hop_bounded_into(
     ws.weight_table = table;
 }
 
-/// Length of the rounded-weight table of [`approx_hop_bounded_into`]:
-/// `min(W, 2m)`, so filling it never costs more divisions than rounding
-/// every directed edge once.
+/// Length of a table filled by [`RoundingScheme::fill_weight_table`]:
+/// `min(W, 2m)`.
 pub(crate) fn weight_table_len(g: &WeightedGraph) -> usize {
     usize::try_from(g.max_weight()).map_or(2 * g.m(), |w| w.min(2 * g.m()))
 }

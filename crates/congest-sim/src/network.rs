@@ -4,8 +4,6 @@ use crate::faults::{DropReason, FaultOracle, FaultPlan};
 use crate::model::{MessageRecord, NodeCtx, Payload, RoundStats, SimConfig, SimError, Status};
 use crate::telemetry::{BandwidthProfile, TraceEvent};
 use congest_graph::{NodeId, WeightedGraph};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A per-node algorithm.
 ///
@@ -45,8 +43,14 @@ pub trait NodeProgram {
 /// DESIGN.md §"Round engine".
 #[derive(Debug)]
 pub struct Mailbox<M> {
-    out: Vec<(NodeId, M)>,
+    /// Queued sends `(to, pos, msg)`: `pos` is `to`'s position in the
+    /// sender's neighbor list, or [`UNKNOWN_POS`] for a [`Mailbox::send`],
+    /// whose receiver the merge looks up (and rejects if not adjacent).
+    out: Vec<(NodeId, u32, M)>,
 }
+
+/// The position of a [`Mailbox::send`] receiver, not yet looked up.
+const UNKNOWN_POS: u32 = u32::MAX;
 
 impl<M: Payload> Mailbox<M> {
     pub(crate) fn with_capacity(capacity: usize) -> Mailbox<M> {
@@ -57,17 +61,18 @@ impl<M: Payload> Mailbox<M> {
 
     /// Queues `msg` for neighbor `to` (delivered next round).
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.out.push((to, msg));
+        self.out.push((to, UNKNOWN_POS, msg));
     }
 
     /// Queues `msg` for every neighbor (cloning once per neighbor except
-    /// the last, which receives the original).
+    /// the last, which receives the original). Each copy carries its
+    /// receiver's neighbor position, so the merge need not search for it.
     pub fn broadcast(&mut self, ctx: &NodeCtx, msg: M) {
         if let Some((&(last, _), rest)) = ctx.neighbors.split_last() {
-            for &(v, _) in rest {
-                self.out.push((v, msg.clone()));
+            for (pos, &(v, _)) in rest.iter().enumerate() {
+                self.out.push((v, pos as u32, msg.clone()));
             }
-            self.out.push((last, msg));
+            self.out.push((last, rest.len() as u32, msg));
         }
     }
 }
@@ -119,13 +124,13 @@ pub struct Network<P: NodeProgram> {
     /// [`Status::Done`] keep their bit, [`Status::Sleep`] clears it until
     /// the wake comes due or a message is delivered.
     awake: Vec<u64>,
-    /// Pending wakes `(round, node, ticket)`. An entry is live only while
-    /// `ticket[node]` still holds its ticket: every new sleep takes a fresh
-    /// ticket, so an entry left behind by a node that a delivery woke early
-    /// is skipped when popped, or dropped by [`Network::compact_wakes`].
-    wakes: BinaryHeap<Reverse<(usize, NodeId, u32)>>,
-    /// Each node's ticket for its latest sleep.
-    ticket: Vec<u32>,
+    /// Each node's timed wake: the `until` of the [`Status::Sleep`] that
+    /// cleared its `awake` bit, or `usize::MAX` while it is awake. A wake,
+    /// timed or by delivery, resets it, so a node has at most one.
+    wake_at: Vec<usize>,
+    /// No `wake_at` entry is below this round: the scan for due wakes
+    /// starts only here. It may trail a wake that a delivery cancelled.
+    next_wake: usize,
     /// Messages to deliver next round: `pending[v] = (from, msg)*`.
     /// Double-buffered with `inboxes`: the two arenas swap every round and
     /// are recycled via `clear()`, so a steady-state round allocates nothing.
@@ -251,8 +256,8 @@ impl<P: NodeProgram> Network<P> {
             status: vec![Status::Running; n],
             done: vec![0; awake.len()],
             awake,
-            wakes: BinaryHeap::new(),
-            ticket: vec![0; n],
+            wake_at: vec![usize::MAX; n],
+            next_wake: usize::MAX,
             pending: (0..n).map(|_| Vec::new()).collect(),
             pending_to: Vec::with_capacity(n),
             inboxes: (0..n).map(|_| Vec::new()).collect(),
@@ -316,9 +321,14 @@ impl<P: NodeProgram> Network<P> {
 
     fn deliver_outbox(&mut self, from: NodeId, round: usize) -> Result<(), SimError> {
         let budget = self.config.bandwidth.get();
-        for (to, msg) in self.mailboxes[from].out.drain(..) {
-            let Some(pos) = self.ctxs[from].neighbor_pos(to) else {
-                return Err(SimError::NotAdjacent { from, to });
+        for (to, pos, msg) in self.mailboxes[from].out.drain(..) {
+            let pos = if pos == UNKNOWN_POS {
+                match self.ctxs[from].neighbor_pos(to) {
+                    Some(pos) => pos,
+                    None => return Err(SimError::NotAdjacent { from, to }),
+                }
+            } else {
+                pos as usize
             };
             let bits = msg.size_bits();
             let slot = self.chan_slot[pos];
@@ -525,14 +535,17 @@ impl<P: NodeProgram> Network<P> {
         }
         self.stats.resilience.crashed_node_rounds += self.crashed as u64;
         // Wakes that came due, then every receiver of a delivery.
-        while let Some(&Reverse((at, v, ticket))) = self.wakes.peek() {
-            if at > round {
-                break;
+        if round >= self.next_wake {
+            let mut next = usize::MAX;
+            for v in 0..self.wake_at.len() {
+                let at = self.wake_at[v];
+                if at <= round {
+                    self.wake(v);
+                } else {
+                    next = next.min(at);
+                }
             }
-            self.wakes.pop();
-            if self.ticket[v] == ticket {
-                self.wake(v);
-            }
+            self.next_wake = next;
         }
         // Flip the double buffer: last round's accumulation arena becomes
         // this round's inboxes, and the cleared former inboxes take over as
@@ -569,8 +582,8 @@ impl<P: NodeProgram> Network<P> {
                         if let Status::Sleep(until) = status {
                             if until > round + 1 {
                                 awake &= !bit;
-                                self.ticket[v] = self.ticket[v].wrapping_add(1);
-                                self.wakes.push(Reverse((until, v, self.ticket[v])));
+                                self.wake_at[v] = until;
+                                self.next_wake = self.next_wake.min(until);
                             }
                         }
                     }
@@ -585,7 +598,6 @@ impl<P: NodeProgram> Network<P> {
             }
             (self.awake[i], self.done[i]) = (awake, done);
         }
-        self.compact_wakes();
         // Recycle the delivery arena even when the merge aborted, so the
         // network's buffers stay consistent for post-mortem inspection.
         for &v in &self.inbox_to {
@@ -624,42 +636,27 @@ impl<P: NodeProgram> Network<P> {
         Ok(quiescent)
     }
 
-    /// Marks `v` awake (stepped this round if live). A pending heap entry
-    /// stays live: if it pops while `v` is still awake it changes nothing.
+    /// Marks `v` awake (stepped this round if live) and cancels its timed
+    /// wake.
     fn wake(&mut self, v: NodeId) {
         self.awake[v / 64] |= 1 << (v % 64);
-    }
-
-    /// Drops the heap entries whose ticket is stale once they could
-    /// outnumber the live ones (at most one per node). Done in place, so
-    /// the heap stays within about `2n` entries without allocating.
-    fn compact_wakes(&mut self) {
-        if self.wakes.len() > 2 * self.ticket.len() + 64 {
-            let ticket = &self.ticket;
-            self.wakes
-                .retain(|&Reverse((_, v, entry))| ticket[v] == entry);
-        }
+        self.wake_at[v] = usize::MAX;
     }
 
     /// Counts the idle rounds before the next one with work: the earliest
-    /// live wake, the next crash-window boundary, or the round cap,
+    /// timed wake, the next crash-window boundary, or the round cap,
     /// whichever comes first. Nothing runs in them, so each contributes
     /// only its round, its crashed node-rounds and (with telemetry on) an
     /// empty [`TraceEvent::RoundCompleted`].
     fn jump(&mut self) {
         let last = self.stats.rounds;
-        let mut target = self
+        self.next_wake = self.wake_at.iter().copied().min().unwrap_or(usize::MAX);
+        let target = self
             .config
             .max_rounds
             .saturating_add(1)
-            .min(self.crash_check);
-        while let Some(&Reverse((at, v, ticket))) = self.wakes.peek() {
-            if self.ticket[v] == ticket {
-                target = target.min(at);
-                break;
-            }
-            self.wakes.pop();
-        }
+            .min(self.crash_check)
+            .min(self.next_wake);
         if target <= last + 1 {
             return;
         }
@@ -1125,6 +1122,78 @@ mod tests {
         let out = net.run().unwrap();
         assert_eq!(out[1], Some(1), "recovered node processed the re-send");
         assert_eq!(out[2], Some(2), "and forwarded onward after recovery");
+    }
+
+    /// Node 0 runs its script in `start`; every node is then `Done`.
+    struct Script(fn(&NodeCtx, &mut Mailbox<u64>));
+
+    impl NodeProgram for Script {
+        type Msg = u64;
+        type Output = ();
+        fn start(&mut self, ctx: &NodeCtx, mb: &mut Mailbox<u64>) {
+            if ctx.id == 0 {
+                (self.0)(ctx, mb);
+            }
+        }
+        fn round(
+            &mut self,
+            _: &NodeCtx,
+            _: usize,
+            _: &[(NodeId, u64)],
+            _: &mut Mailbox<u64>,
+        ) -> Status {
+            Status::Done
+        }
+        fn finish(self, _: &NodeCtx) {}
+    }
+
+    /// A broadcast copy carries its receiver's neighbor position and a send
+    /// is looked up at the merge; both land on the same channel, which is
+    /// charged and checked exactly as if every message had been a send.
+    #[test]
+    fn broadcast_and_send_share_channel_accounting() {
+        let g = generators::star(4, 1);
+        let send_first: fn(&NodeCtx, &mut Mailbox<u64>) = |ctx, mb| {
+            mb.send(2, 255);
+            mb.broadcast(ctx, 6);
+        };
+        let broadcast_first: fn(&NodeCtx, &mut Mailbox<u64>) = |ctx, mb| {
+            mb.broadcast(ctx, 6);
+            mb.send(2, 255);
+        };
+        for script in [send_first, broadcast_first] {
+            let cfg = SimConfig {
+                bandwidth: Bandwidth::bits(64),
+                ..SimConfig::standard(4, 1)
+            };
+            let (_, stats) = run_phase(&g, 0, &cfg, "script", |_, _| Script(script)).unwrap();
+            assert_eq!((stats.messages, stats.bits), (4, 17));
+            assert_eq!(stats.max_channel_bits, 11, "0→2 carries both messages");
+            let tight = SimConfig {
+                bandwidth: Bandwidth::bits(10),
+                ..cfg
+            };
+            let err = run_phase(&g, 0, &tight, "script", |_, _| Script(script)).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::BandwidthExceeded {
+                    from: 0,
+                    to: 2,
+                    round: 1,
+                    attempted_bits: 11,
+                    budget_bits: 10,
+                }
+            );
+        }
+        let g = generators::path(3, 1);
+        let err = run_phase(&g, 0, &SimConfig::standard(3, 1), "script", |_, _| {
+            Script(|ctx, mb| {
+                mb.broadcast(ctx, 6);
+                mb.send(2, 5);
+            })
+        })
+        .unwrap_err();
+        assert_eq!(err, SimError::NotAdjacent { from: 0, to: 2 });
     }
 
     #[test]

@@ -11,11 +11,11 @@
 mod common;
 
 use common::{Dense, Napper};
-use congest_graph::{generators, WeightedGraph};
+use congest_graph::{generators, NodeId, WeightedGraph};
 use congest_sim::telemetry::CollectingTracer;
 use congest_sim::{
-    Bandwidth, FaultPlan, Network, NodeProgram, RoundStats, SimConfig, SimError, Telemetry,
-    TraceEvent,
+    Bandwidth, FaultPlan, Mailbox, Network, NodeCtx, NodeProgram, RoundStats, SimConfig, SimError,
+    Status, Telemetry, TraceEvent,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -160,4 +160,66 @@ fn sleeping_engine_matches_on_fixed_cases() {
             rounds_executed: 30,
         })
     );
+}
+
+/// Records every round it is stepped in. On a two-node path, node 0 sleeps
+/// until round 4, then sends to node 1 and sleeps until 20. Node 1 sleeps
+/// until 10, but the delivery wakes it in round 5 and it re-sleeps until
+/// 20. Both are `Done` from round 20; any other step re-sleeps until 20,
+/// so an extra step shows only in the record.
+struct Stepped {
+    rounds: Vec<usize>,
+}
+
+impl NodeProgram for Stepped {
+    type Msg = u64;
+    type Output = Vec<usize>;
+
+    fn start(&mut self, _: &NodeCtx, _: &mut Mailbox<u64>) {}
+
+    fn round(
+        &mut self,
+        ctx: &NodeCtx,
+        round: usize,
+        _: &[(NodeId, u64)],
+        mb: &mut Mailbox<u64>,
+    ) -> Status {
+        self.rounds.push(round);
+        match (ctx.id, round) {
+            (_, 20..) => Status::Done,
+            (0, 1) => Status::Sleep(4),
+            (0, 4) => {
+                mb.send(1, 7);
+                Status::Sleep(20)
+            }
+            (1, 1) => Status::Sleep(10),
+            _ => Status::Sleep(20),
+        }
+    }
+
+    fn finish(self, _: &NodeCtx) -> Vec<usize> {
+        self.rounds
+    }
+}
+
+/// A node has one timed wake, its latest sleep's: the delivery that wakes
+/// node 1 early cancels its wake at 10, and the re-sleep sets 20. When
+/// every node sleeps, the run jumps to the earliest wake (4 after round 1,
+/// 20 after round 5).
+#[test]
+fn wake_table_steps_each_node_at_its_latest_sleep() {
+    let g = generators::path(2, 1);
+    let mut net = Network::new(&g, 0, SimConfig::standard(2, 1), |_, _| Stepped {
+        rounds: Vec::new(),
+    });
+    let mut executed = Vec::new();
+    loop {
+        let quiescent = net.step().expect("the run succeeds");
+        executed.push(net.stats().rounds);
+        if quiescent {
+            break;
+        }
+    }
+    assert_eq!(executed, [1, 4, 5, 20], "rounds with work; the rest jumped");
+    assert_eq!(net.into_outputs(), [vec![1, 4, 20], vec![1, 5, 20]]);
 }

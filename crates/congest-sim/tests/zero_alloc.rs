@@ -3,9 +3,9 @@
 //! buffer to its steady-state capacity), `Network::step` must not touch the
 //! heap at all — **including with a [`SimMetrics`] tracer attached**,
 //! whose per-round updates are relaxed atomic adds on pre-registered
-//! handles. The same holds for sleeping programs: wakes from the heap,
-//! wakes by delivery (which leave stale heap entries behind) and jumps
-//! over idle rounds run on pre-grown buffers. A counting global allocator
+//! handles. The same holds for sleeping programs: timed wakes, wakes by
+//! delivery (which cancel a timed wake) and jumps over idle rounds read
+//! and write only the per-node wake table sized at construction. A counting global allocator
 //! makes any regression — a stray `clone`, a rebuilt `Vec`, a formatted
 //! string — an immediate test failure rather than a slow perf drift.
 //!
@@ -146,7 +146,7 @@ fn steady_state_rounds_do_not_allocate() {
     assert_eq!(metrics.messages.get(), net.stats().messages);
     assert_eq!(metrics.bits.get(), net.stats().bits);
 
-    // Sleeping phase: three cycles of warm-up grow the wake heap, then each
+    // Sleeping phase: three cycles of warm-up grow the arenas, then each
     // step runs one round with work plus any idle rounds jumped before it.
     let config = SimConfig {
         bandwidth: Bandwidth::bits(160),
@@ -166,7 +166,7 @@ fn steady_state_rounds_do_not_allocate() {
     let delta = heap_ops() - before;
     assert_eq!(
         delta, 0,
-        "steady-state sleeping rounds (heap wakes, delivery wakes, jumps) \
+        "steady-state sleeping rounds (timed wakes, delivery wakes, jumps) \
          must be allocation-free, saw {delta} heap ops over 32 steps"
     );
     let rounds = net.stats().rounds - rounds_before;
